@@ -28,13 +28,10 @@ the scalar machine:
   initial image (scalar inputs + compiler literal pool); stores with
   unknown addresses clear it, loads of unmapped words produce TOP.
 
-Loop bodies are summarized with the fast-path engine's own proof
-machinery (:mod:`repro.machine.fastpath`): the walker monitors back
-edges, classifies the body into affine recurrences, solves the trip
-count, and advances the pipeline by analytic clock shift or timing
-replay — the identical helpers the simulator's fast path uses, so the
-cycle arithmetic is the same code path that is differentially tested
-against pure interpretation.
+The walker steps every executed instruction, loop iterations included,
+the way :meth:`Simulator.run <repro.machine.simulator.Simulator.run>`
+does, so its cycle arithmetic is the simulator's own: only the vector
+element values are left out.
 
 When a proof obligation fails (a data-dependent branch, a ``T_LEGACY``
 instruction, the scalar-cache model), prediction falls back to the
@@ -46,27 +43,12 @@ confidence interval (see :data:`MODEL_TIER_WIDEN`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
 from ..errors import AnalysisError
 from ..isa.program import Program
 from ..machine.config import MachineConfig
-from ..machine.fastpath import (
-    MAX_BODY,
-    MAX_EDGE_FAILS,
-    MIN_SKIP,
-    _classify,
-    _closure,
-    _Decline,
-    _eval_form,
-    _on_grid,
-    _replay_timing,
-    _slope,
-    _trip_count,
-    _try_analytic_shift,
-)
 from ..machine.memory import MemorySystem
 from ..machine.pipeline import PipelineState, TimingModel
 from ..machine.semantics import (
@@ -149,9 +131,6 @@ class StaticPrediction:
     vector_memory_ops: int
     scalar_memory_ops: int
     flops: int
-    #: exact-tier bookkeeping (how much work the loop summaries saved)
-    loops_summarized: int = 0
-    iterations_skipped: int = 0
     #: why the exact tier declined (model tier only)
     decline_reason: str | None = None
 
@@ -167,7 +146,7 @@ class StaticPrediction:
         return (self.cycles_high - self.cycles_low) / (2.0 * self.cycles)
 
     def counters(self) -> dict[str, int]:
-        """The simulator counter tuple (sentinel comparison schema)."""
+        """The simulator's counters, under its attribute names."""
         return {
             "instructions_executed": self.instructions_executed,
             "vector_instructions": self.vector_instructions,
@@ -250,17 +229,6 @@ class _Walker:
         self.vector_memory = 0
         self.scalar_memory = 0
         self.flops = 0
-        # -- back-edge monitor (FastPathEngine mirror) -----------------
-        self._monitor = -1
-        self._events: list[tuple[int, bool]] = []
-        self._fails: dict[int, int] = {}
-        self._blacklist: set[int] = set()
-        self._prev_sig: Any = None
-        self._prev_fp: Any = None
-        self._prev_grid = False
-        self._prev_issue = 0.0
-        self.loops_summarized = 0
-        self.iterations_skipped = 0
 
     # -- abstract scalar semantics (execute_decoded mirror) ------------
 
@@ -426,260 +394,7 @@ class _Walker:
                 )
                 self.scalar_count += 1
             self.executed += 1
-            if taken:
-                self._on_branch(pc, True)
-                pc = d.target_pc
-            else:
-                if d.is_branch:
-                    self._on_branch(pc, False)
-                pc += 1
-
-    # -- back-edge monitor (FastPathEngine mirror, value-free) ---------
-
-    def _on_branch(self, pc: int, taken: bool) -> None:
-        mon = self._monitor
-        if mon < 0:
-            if (
-                taken
-                and self.decoded[pc].target_pc <= pc
-                and pc not in self._blacklist
-            ):
-                self._monitor = pc
-                self._events = []
-                self._prev_sig = None
-                self._prev_fp = None
-            return
-        self._events.append((pc, taken))
-        if pc != mon or not taken:
-            if len(self._events) > 4 * MAX_BODY:
-                self._fail()
-            return
-        self._boundary()
-
-    def _boundary(self) -> None:
-        events = self._events
-        self._events = []
-        try:
-            seq, outcomes = self._reconstruct(events)
-        except _Decline:
-            self._fail()
-            return
-        sig = (tuple(seq), tuple(sorted(outcomes.items())))
-        if sig != self._prev_sig:
-            self._prev_sig = sig
-            self._capture_fp()
-            return
-        prev_fp, prev_issue = self._prev_fp, self._prev_issue
-        prev_grid = self._prev_grid
-        try:
-            skipped = self._engage(
-                seq, outcomes, prev_fp, prev_issue, prev_grid
-            )
-        except _Decline:
-            self._fail()
-            return
-        if not skipped:  # trip count too small right now
-            self._capture_fp()
-            return
-        self._prev_sig = None
-        self._prev_fp = None
-        self._fails[self._monitor] = 0
-
-    def _capture_fp(self) -> None:
-        state = self.state
-        self._prev_issue = state.issue_clock
-        self._prev_fp = state.clock_fingerprint()
-        self._prev_grid = all(
-            _on_grid(v) for v in state.absolute_clocks()
-        )
-
-    def _fail(self) -> None:
-        mon = self._monitor
-        count = self._fails.get(mon, 0) + 1
-        self._fails[mon] = count
-        self._events = []
-        self._prev_sig = None
-        self._prev_fp = None
-        if count >= MAX_EDGE_FAILS:
-            self._blacklist.add(mon)
-            self._monitor = -1
-
-    def _reconstruct(
-        self, events: list[tuple[int, bool]]
-    ) -> tuple[list[int], dict[int, bool]]:
-        decoded = self.decoded
-        mon = self._monitor
-        seq: list[int] = []
-        outcomes: dict[int, bool] = {}
-        pc = decoded[mon].target_pc
-        ei = 0
-        last = len(events) - 1
-        while True:
-            seq.append(pc)
-            if len(seq) > MAX_BODY:
-                raise _Decline("body-too-long")
-            d = decoded[pc]
-            if d.is_branch:
-                if ei > last or events[ei][0] != pc:
-                    raise _Decline("trace-mismatch")
-                taken = events[ei][1]
-                outcomes[len(seq) - 1] = taken
-                if ei == last:
-                    if pc != mon or not taken:
-                        raise _Decline("trace-mismatch")
-                    return seq, outcomes
-                ei += 1
-                pc = d.target_pc if taken else pc + 1
-            else:
-                pc += 1
-
-    def _head_state(self) -> dict[Any, Any]:
-        """Head values for the affine solver; NaN encodes TOP.
-
-        NaN is never ``_is_intval`` and never compares equal, so every
-        fast-path proof involving a TOP slot declines — exactly the
-        conservative behavior the walker needs.
-        """
-        head: dict[Any, Any] = {
-            ("vs",): math.nan if self.vs is None else self.vs
-        }
-        for i, av in enumerate(self.a):
-            head[("a", i)] = math.nan if av is None else av
-        for i, sv in enumerate(self.s):
-            head[("s", i)] = math.nan if sv is None else sv
-        return head
-
-    def _engage(
-        self,
-        seq: list[int],
-        outcomes: dict[int, bool],
-        prev_fp: Any,
-        prev_issue: float,
-        prev_grid: bool,
-    ) -> bool:
-        """Summarize the monitored loop; True when iterations skipped.
-
-        Reuses the fast-path proof pipeline for classification, trip
-        count, and timing advance, but skips value reconstruction:
-        written slots that are not provably affine become TOP, which
-        is sound because any later control-flow use of them bails to
-        the model tier.
-        """
-        decoded = self.decoded
-        head = self._head_state()
-        plan = _classify(
-            decoded, seq, outcomes, self.vl, self.max_vl, head
-        )
-        S, steps = _closure(plan)
-        budget = (self.max_instructions - self.executed) // len(seq)
-        k = _trip_count(plan, S, steps, budget, self.max_vl)
-        if k < MIN_SKIP:
-            return False
-
-        self._invalidate_stores(plan, S, steps, head, k)
-        self._advance_slots(plan, S, steps, head, k)
-        if plan.has_compare:
-            # the final compare's flag is recomputed before any branch
-            # in the next interpreted iteration; TOP is safe either way
-            self.flag = None
-
-        state = self.state
-        analytic = False
-        if (
-            prev_fp is not None
-            and prev_grid
-            and (
-                not plan.has_memory
-                or not self.config.refresh_enabled
-            )
-            and prev_fp == state.clock_fingerprint()
-        ):
-            analytic = _try_analytic_shift(
-                state, state.issue_clock - prev_issue, k
-            )
-        if not analytic:
-            # templates are only dereferenced under the scalar-cache
-            # model, which the walker refuses up front
-            _replay_timing(self.model, state, decoded, plan, [], k)
-
-        self.executed += len(seq) * k
-        self.vector_count += plan.n_vector * k
-        self.scalar_count += plan.n_scalar * k
-        self.vector_memory += plan.n_vmem * k
-        self.scalar_memory += plan.n_smem * k
-        self.flops += plan.n_flops * k
-        self.loops_summarized += 1
-        self.iterations_skipped += k
-        return True
-
-    def _advance_slots(
-        self,
-        plan: Any,
-        S: set[Any],
-        steps: dict[Any, int],
-        head: dict[Any, Any],
-        k: int,
-    ) -> None:
-        """Advance written slots by ``k`` iterations (affine or TOP)."""
-        for slot in plan.scalar_write_pos:
-            if slot in S:
-                step = steps[slot]
-                if step == 0:
-                    continue  # recomputed constant / identity carry
-                # closure guarantees an integral head below 2**53, so
-                # h + k*step is exact in both int and float arithmetic
-                end = int(head[slot]) + k * step
-                if slot[0] == "a":
-                    self.a[slot[1]] = end
-                elif slot[0] == "s":
-                    self.s[slot[1]] = float(end)
-                else:
-                    self.vs = end
-            else:
-                if slot[0] == "a":
-                    self.a[slot[1]] = None
-                elif slot[0] == "s":
-                    self.s[slot[1]] = None
-                else:
-                    self.vs = None
-
-    def _invalidate_stores(
-        self,
-        plan: Any,
-        S: set[Any],
-        steps: dict[Any, int],
-        head: dict[Any, Any],
-        k: int,
-    ) -> None:
-        """Drop known words the skipped stores may have overwritten."""
-        if not self.mem:
-            return
-        for pos in sorted(plan.mem_pos):
-            kind, addr, stride, vl = plan.mem_pos[pos]
-            if kind not in ("sts", "stv"):
-                continue
-            if any(sym not in S for sym in addr[1]):
-                self.mem.clear()
-                return
-            a0 = _eval_form(addr, head)
-            astep = _slope(addr, steps)
-            if a0 is None or a0 % 8 or astep % 8:
-                self.mem.clear()
-                return
-            w0 = int(a0) // 8
-            wstep = astep // 8
-            elems = range(vl) if kind == "stv" else range(1)
-            estride = stride if kind == "stv" else 0
-            for word in list(self.mem):
-                for e in elems:
-                    r = word - w0 - e * estride
-                    if wstep == 0:
-                        hit = r == 0
-                    else:
-                        hit = r % wstep == 0 and 0 <= r // wstep < k
-                    if hit:
-                        del self.mem[word]
-                        break
+            pc = d.target_pc if taken else pc + 1
 
 
 # ----------------------------------------------------------------------
@@ -814,6 +529,4 @@ def predict_program(
         vector_memory_ops=walker.vector_memory,
         scalar_memory_ops=walker.scalar_memory,
         flops=walker.flops,
-        loops_summarized=walker.loops_summarized,
-        iterations_skipped=walker.iterations_skipped,
     )

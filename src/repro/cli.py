@@ -396,8 +396,6 @@ def _cmd_sweep(args) -> int:
         base_configs = {"base": DEFAULT_CONFIG}
     configs = {}
     for tag, config in base_configs.items():
-        if args.no_fastpath:
-            config = config.without_fastpath()
         if args.max_cycles is not None:
             config = config.with_cycle_budget(args.max_cycles)
         configs[tag] = config
@@ -424,7 +422,6 @@ def _cmd_sweep(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         deadline_s=args.deadline,
-        sentinel=not args.no_sentinel,
         checkpoint=args.checkpoint,
         trace=args.trace,
     )
@@ -451,20 +448,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.profile and args.no_fastpath:
-        print(
-            "error: --profile reports fast-path statistics and "
-            "conflicts with --no-fastpath; drop one of them",
-            file=sys.stderr,
-        )
-        return 2
     from .compiler import DEFAULT_OPTIONS
 
     description = _machine_description(args)
     config = DEFAULT_CONFIG if description is None \
         else description.config
-    if args.no_fastpath:
-        config = config.without_fastpath()
     options = DEFAULT_OPTIONS
     if description is not None:
         from .machines import tuned_options
@@ -521,27 +509,6 @@ def _cmd_run(args) -> int:
         print(f"  compile         : {1e3 * (t1 - t0):8.2f} ms")
         print(f"  simulate        : {1e3 * (t2 - t1):8.2f} ms")
         print(f"  model (MACS)    : {1e3 * (t3 - t2):8.2f} ms")
-        stats = result.fastpath
-        if stats is None:
-            print("  fast path       : disabled")
-        else:
-            print(
-                f"  fast path       : {stats.loops_detected} loops, "
-                f"{stats.engagements} engagements "
-                f"({stats.analytic_engagements} analytic, "
-                f"{stats.replay_engagements} replay)"
-            )
-            print(
-                f"  skipped         : "
-                f"{stats.iterations_skipped} iterations, "
-                f"{stats.instructions_skipped} instructions"
-            )
-            if stats.declines:
-                reasons = ", ".join(
-                    f"{reason}={count}"
-                    for reason, count in sorted(stats.declines.items())
-                )
-                print(f"  declines        : {reasons}")
     return 0
 
 
@@ -626,8 +593,6 @@ def _cmd_request(args) -> int:
         params["n"] = args.n
     if args.machine is not None:
         params["machine"] = args.machine
-    if args.no_fastpath:
-        params["no_fastpath"] = True
     if args.max_cycles is not None:
         params["max_cycles"] = args.max_cycles
 
@@ -958,10 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry budget per task for crashes/timeouts (default 2)",
     )
     sweep_cmd.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the steady-state fast path for every cell",
-    )
-    sweep_cmd.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget for the whole sweep; work remaining "
         "at expiry fails with a typed BudgetExceededError",
@@ -970,11 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-cycles", type=float, default=None, metavar="CYCLES",
         help="per-cell simulated-cycle ceiling (watchdog; default: "
         "none)",
-    )
-    sweep_cmd.add_argument(
-        "--no-sentinel", action="store_true",
-        help="skip the fastpath divergence cross-check on one "
-        "sampled cell",
     )
     add_machine_flag(sweep_cmd)
 
@@ -1195,10 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "wire; the server resolves them against its own registry)",
     )
     request_cmd.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the steady-state fast path for this request",
-    )
-    request_cmd.add_argument(
         "--max-cycles", type=float, default=None, metavar="CYCLES",
         help="simulated-cycle watchdog budget for this request",
     )
@@ -1226,12 +1178,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint the generated code first; fail on lint errors",
     )
     run_cmd.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the steady-state fast path (pure interpreter)",
-    )
-    run_cmd.add_argument(
         "--profile", action="store_true",
-        help="report per-phase wall time and fast-path statistics",
+        help="report per-phase wall time",
     )
     add_machine_flag(run_cmd)
     return parser

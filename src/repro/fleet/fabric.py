@@ -114,9 +114,12 @@ class Fleet:
             "--workers", str(self.workers),
             "--queue-limit", str(self.queue_limit),
             "--client-limit", str(self.client_limit),
+            "--cache-max", str(self.cache_max),
             "--shard-id", name,
             "--lease-ttl", str(self.lease_ttl_s),
         ]
+        if self.job_timeout_s is not None:
+            command += ["--job-timeout", str(self.job_timeout_s)]
         if self.l2_root is not None:
             command += ["--l2", self.l2_root]
         env = dict(os.environ)

@@ -74,9 +74,6 @@ class MachineConfig:
     #: contention from other CPUs; 1.0 = idle machine.  A heavily loaded
     #: machine runs at one access per 56-64 ns => factor 1.4-1.6 (§4.2).
     memory_contention_factor: float = 1.0
-    #: Enable the steady-state loop fast path (cycle-exact; see
-    #: :mod:`repro.machine.fastpath`).  Off = pure interpretation.
-    fastpath: bool = True
     #: Watchdog ceiling on total simulated cycles (``None`` = no
     #: ceiling).  A run that blows past it raises a typed
     #: :class:`~repro.errors.BudgetExceededError` instead of grinding
@@ -149,9 +146,6 @@ class MachineConfig:
 
     def without_refresh(self) -> "MachineConfig":
         return self.replace(refresh_enabled=False)
-
-    def without_fastpath(self) -> "MachineConfig":
-        return self.replace(fastpath=False)
 
     def without_chaining(self) -> "MachineConfig":
         return self.replace(chaining_enabled=False)

@@ -94,22 +94,6 @@ class MemorySystem:
         )
         self._words[indices] = values
 
-    def gather_words(self, word_indices: np.ndarray) -> np.ndarray:
-        """Fancy-indexed read of word values (fast-path bulk loads).
-
-        Callers must have proven the indices in bounds; the same fancy
-        indexing as :meth:`read_vector` keeps the values bit-identical.
-        """
-        return self._words[word_indices]
-
-    def scatter_words(self, word_indices: np.ndarray, values) -> None:
-        """Fancy-indexed write of word values (fast-path bulk stores).
-
-        Callers must have proven the indices in bounds and free of
-        duplicates (scatter order with duplicates is unspecified).
-        """
-        self._words[word_indices] = values
-
     def load_array(self, offset_words: int, values: np.ndarray) -> None:
         """Bulk-initialize a region (used to set up kernel input data)."""
         end = offset_words + len(values)

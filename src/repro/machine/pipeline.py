@@ -31,26 +31,15 @@ The model reproduces the paper's §3.3 behaviours:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, Pipe
-from ..isa.registers import Register, RegisterClass
+from ..isa.registers import Register
 from .cache import ScalarCache
 from .config import MachineConfig
 from .memory import MemorySystem
-from .semantics import DecodedInstruction, decode_instruction
-
-#: Display order of the pipes, fixed for fingerprint stability.
-_PIPES = tuple(Pipe)
-
-
-@lru_cache(maxsize=4096)
-def _decoded_timing(instr: Instruction) -> DecodedInstruction:
-    """Layout-free decoded record (timing metadata only), cached."""
-    return decode_instruction(instr)
-
+from .semantics import DecodedInstruction
 
 @dataclass
 class VectorStream:
@@ -132,88 +121,10 @@ class PipelineState:
             *self.pipe_input_free.values(),
         )
 
-    # ------------------------------------------------------------------
-    # Fast-path support: normalize / shift the absolute clocks
-    # ------------------------------------------------------------------
-
-    def absolute_clocks(self) -> list[float]:
-        """Every absolute time point held in the state (rates excluded)."""
-        clocks = [
-            self.issue_clock,
-            self.memory_port_free,
-            self.flag_ready,
-            self.last_complete,
-        ]
-        for p in _PIPES:
-            clocks.append(self.pipe_input_free[p])
-            clocks.append(self.pipe_reservation_free[p])
-        for stream in self.vector_streams.values():
-            clocks.append(stream.first)
-            clocks.append(stream.end)
-        for start, _rate in self.vector_last_read.values():
-            clocks.append(start)
-        clocks.extend(self.scalar_ready.values())
-        return clocks
-
-    def clock_fingerprint(self) -> tuple:
-        """State with all absolute clocks expressed relative to issue.
-
-        Two states with equal fingerprints behave identically up to a
-        pure time shift (provided the subtractions below were exact —
-        the fast path only trusts this after its dyadic grid guard).
-
-        Clocks at or below ``issue_clock`` are *inert*: ``issue_clock``
-        never decreases, and every future consultation of these clocks
-        is a ``max()`` against a dispatch point that is itself at least
-        ``issue_clock`` — so their exact values can never influence any
-        later timing decision.  They are clamped to an ``"old"`` marker
-        here; without the clamp, registers last touched before a loop
-        would drift relative to ``issue_clock`` forever and no two
-        boundary fingerprints could ever match.  The one consumer that
-        can reach *behind* ``issue_clock`` is the WAR hazard check,
-        which adds ``vl * reader_rate`` to a recorded read start, so
-        ``vector_last_read`` entries only become inert a full
-        ``rate * max_vl`` horizon below issue.
-        """
-        base = self.issue_clock
-        max_vl = float(self.config.max_vl)
-
-        def rel(v: float):
-            return "old" if v <= base else v - base
-
-        streams = []
-        for i, s in self.vector_streams.items():
-            if s.first <= base and s.end <= base:
-                streams.append((i, "old"))
-            else:
-                streams.append((i, s.first - base, s.rate, s.end - base))
-        reads = []
-        for i, (start, rate) in self.vector_last_read.items():
-            if start <= base - max(1.0, rate * max_vl):
-                reads.append((i, "old", rate))
-            else:
-                reads.append((i, start - base, rate))
-        return (
-            tuple(rel(self.pipe_input_free[p]) for p in _PIPES),
-            tuple(rel(self.pipe_reservation_free[p]) for p in _PIPES),
-            rel(self.memory_port_free),
-            rel(self.flag_ready),
-            rel(self.last_complete),
-            tuple(streams),
-            tuple(reads),
-            tuple(
-                sorted(
-                    ((r.rclass.value, r.index), t - base)
-                    for r, t in self.scalar_ready.items()
-                    if t > base
-                )
-            ),
-        )
-
     def shift_clocks(self, delta: float) -> None:
         """Advance every absolute clock by ``delta`` cycles."""
         self.issue_clock += delta
-        for p in _PIPES:
+        for p in Pipe:
             self.pipe_input_free[p] += delta
             self.pipe_reservation_free[p] += delta
         self.memory_port_free += delta
@@ -249,13 +160,6 @@ class TimingModel:
             if t > ready:
                 ready = t
         return ready
-
-    def time_vector(
-        self, state: PipelineState, instr: Instruction, pc: int, vl: int
-    ) -> InstructionTiming:
-        d = _decoded_timing(instr)
-        timing = self.config.timings.lookup(d.timing_key)
-        return self.time_vector_decoded(state, d, timing, pc, vl)
 
     def time_vector_decoded(
         self, state: PipelineState, d: DecodedInstruction, timing,
@@ -359,15 +263,6 @@ class TimingModel:
     # ------------------------------------------------------------------
     # Scalar instructions
     # ------------------------------------------------------------------
-
-    def time_scalar(
-        self, state: PipelineState, instr: Instruction, pc: int,
-        branch_taken: bool = False,
-        word_address: int | None = None,
-    ) -> InstructionTiming:
-        return self.time_scalar_decoded(
-            state, _decoded_timing(instr), pc, branch_taken, word_address
-        )
 
     def time_scalar_decoded(
         self, state: PipelineState, d: DecodedInstruction, pc: int,

@@ -23,7 +23,6 @@ from ..resilience import watchdog
 from ..sweep import telemetry
 from .cache import CacheStats
 from .config import DEFAULT_CONFIG, MachineConfig
-from .fastpath import FastPathEngine, FastPathStats
 from .memory import MemorySystem
 from .pipeline import InstructionTiming, PipelineState, TimingModel
 from .semantics import decode_program, execute_decoded
@@ -48,8 +47,9 @@ class SimulationResult:
     trace: list[InstructionTiming] = field(default_factory=list)
     #: populated when the scalar-cache model is enabled
     scalar_cache: CacheStats | None = None
-    #: populated when the steady-state fast path was armed for the run
-    fastpath: FastPathStats | None = None
+    #: always ``None``; ``perfbench/tracer.py`` still reads it and
+    #: takes ``None`` to mean no loop iterations were skipped
+    fastpath: None = None
     #: clock period of the machine that produced the run (ns)
     clock_period_ns: float = DEFAULT_CONFIG.clock_period_ns
 
@@ -137,15 +137,6 @@ class Simulator:
             for d in decoded
         )
 
-        fast = None
-        stats = None
-        if self.config.fastpath and not record_trace:
-            stats = FastPathStats()
-            fast = FastPathEngine(
-                decoded, model, state, regfile, memory, stats,
-                max_instructions,
-            )
-
         trace: list[InstructionTiming] = []
         executed = 0
         vector_count = 0
@@ -199,21 +190,7 @@ class Simulator:
                 if record_trace:
                     trace.append(timing)
                 executed += 1
-                if taken:
-                    if fast is not None:
-                        skip = fast.on_branch(pc, True, executed)
-                        if skip is not None:
-                            executed += skip.instructions
-                            vector_count += skip.vector_instructions
-                            scalar_count += skip.scalar_instructions
-                            vector_memory += skip.vector_memory
-                            scalar_memory += skip.scalar_memory
-                            flops += skip.flops
-                    pc = d.target_pc
-                else:
-                    if fast is not None and d.is_branch:
-                        fast.on_branch(pc, False, executed)
-                    pc += 1
+                pc = d.target_pc if taken else pc + 1
 
         if telemetry.current() is not None:
             telemetry.record_counters(
@@ -242,7 +219,6 @@ class Simulator:
                 state.scalar_cache.stats
                 if state.scalar_cache is not None else None
             ),
-            fastpath=stats,
             clock_period_ns=self.config.clock_period_ns,
         )
 

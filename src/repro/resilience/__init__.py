@@ -12,15 +12,11 @@ Public surface:
   point);
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`;
 * :mod:`~repro.resilience.watchdog` — :class:`Deadline`,
-  :func:`monotonic`, cycle/step ceiling checks;
-* :mod:`~repro.resilience.sentinel` — the fastpath divergence
-  sentinel (:func:`cross_check`, :class:`SentinelVerdict`).
+  :func:`monotonic`, cycle/step ceiling checks.
 
-Like :mod:`repro.sweep.telemetry`, the base modules (``store``,
-``faults``, ``retry``, ``watchdog``) import nothing from the rest of
-the package beyond :mod:`repro.errors`, so the machine, workload, and
-sweep layers can all use them without import cycles; ``sentinel``
-reaches the workload layer lazily.
+Like :mod:`repro.sweep.telemetry`, these modules import nothing from
+the rest of the package beyond :mod:`repro.errors`, so the machine,
+workload, and sweep layers can all use them without import cycles.
 """
 
 from __future__ import annotations
@@ -36,12 +32,10 @@ _EXPORTS = {
     "chaos": "faults",
     "RetryPolicy": "retry",
     "Deadline": "watchdog",
-    "SentinelVerdict": "sentinel",
-    "cross_check": "sentinel",
 }
 
 __all__ = sorted(_EXPORTS) + [
-    "faults", "retry", "sentinel", "store", "watchdog",
+    "faults", "retry", "store", "watchdog",
 ]
 
 

@@ -17,11 +17,7 @@ Plan file schema (JSON)::
         {"site": "trace.write",   "kind": "io-error"},
         {"site": "worker",        "kind": "exit", "task": 0,
          "count": 1},
-        {"site": "clock",         "kind": "skew", "value": 30.0},
-        {"site": "fastpath.engage", "kind": "skew", "value": 64.0,
-         "count": 1},
-        {"site": "sentinel.fast_cycles", "kind": "skew",
-         "value": 8.0}
+        {"site": "clock",         "kind": "skew", "value": 30.0}
       ]
     }
 
@@ -29,12 +25,11 @@ Fields:
 
 * ``site`` — where to inject.  Instrumented sites: ``store.append``,
   ``store.atomic_write``, ``trace.write`` (telemetry),
-  ``fastpath.engage`` (simulator fast path), ``sentinel.fast_cycles``
-  (divergence sentinel), ``clock`` (wall-clock skew, seconds),
-  ``worker`` (sweep worker processes), ``service.accept`` (analysis-
-  server connections dropped at accept), and ``service.cache_write``
-  (analysis-server durable cache appends fail; the cache degrades to
-  memory-only).
+  ``static.predict`` (static-tier clocks), ``clock`` (wall-clock skew,
+  seconds), ``worker`` (sweep worker processes), ``service.accept``
+  (analysis-server connections dropped at accept), and
+  ``service.cache_write`` (analysis-server durable cache appends
+  fail; the cache degrades to memory-only).
 * ``kind`` — ``io-error`` (raise ``OSError``), ``torn-write`` (write
   a prefix of the bytes, then raise), ``skew`` (add ``value`` to a
   clock), or — for ``site="worker"`` — ``raise``/``exit``/``hang``.
@@ -44,8 +39,8 @@ Fields:
   sites).
 * ``task`` / ``count`` — for worker faults: the grid index to poison
   and how many attempts fail before it recovers.
-* ``value`` — skew magnitude (cycles for simulator sites, seconds for
-  ``clock``).  A fired ``clock`` hit advances the skewed wall clock
+* ``value`` — skew magnitude (cycles for ``static.predict``, seconds
+  for ``clock``).  A fired ``clock`` hit advances the skewed wall clock
   *permanently*, so ``after`` selects which clock read jumps forward
   (``after=1`` skips a deadline's own start-time read).
 
@@ -69,9 +64,9 @@ from dataclasses import dataclass, field
 from ..errors import ExperimentError
 
 _SITES_HINT = (
-    "store.append, store.atomic_write, trace.write, fastpath.engage, "
-    "sentinel.fast_cycles, clock, worker, service.accept, "
-    "service.cache_write, fleet.replica, fleet.l2_write"
+    "store.append, store.atomic_write, trace.write, static.predict, "
+    "clock, worker, service.accept, service.cache_write, "
+    "fleet.replica, fleet.l2_write"
 )
 _KINDS = ("io-error", "torn-write", "skew", "raise", "exit", "hang")
 _WORKER_KINDS = ("raise", "exit", "hang")

@@ -2,9 +2,7 @@
 
 The static tier answers ``advise`` requests without simulation, so
 production needs continuous evidence that the predictions still track
-the simulator — the same trust problem the fastpath divergence
-sentinel solves for the steady-state accelerator, applied across the
-static/simulated boundary.
+the simulator.
 
 :class:`CalibrationSampler` deterministically samples every Nth
 ``advise`` request; the server replays the sampled request **exactly**
@@ -15,7 +13,7 @@ every counter, applies the error gate, and appends an
 (an append-only CRC-framed JSONL log — the PR-3 checkpoint format, so
 ``fsck`` and torn-write recovery come for free).
 
-Gate policy mirrors the sentinel's degrade-don't-lie stance:
+Gate policy is degrade, don't lie:
 
 * **exact-tier** predictions claim bit-exactness; *any* cycle error
   is a defect — the verdict is ``flagged`` and

@@ -214,7 +214,7 @@ class ServiceClient:
         Answered inline by the server's static tier — microseconds on
         a warm process, never a simulator worker.  Accepts the same
         params as ``run``/``bound`` (``variant``/``options``, ``n``,
-        ``no_fastpath``, ``max_cycles``).
+        ``max_cycles``).
         """
         return self.request("advise", {"kernel": kernel, **params})
 

@@ -48,8 +48,6 @@ def _config_from_payload(payload: dict):
         config = builtin_machine(str(machine_name)).config
     else:
         config = DEFAULT_CONFIG
-    if payload.get("no_fastpath"):
-        config = config.without_fastpath()
     if payload.get("max_cycles") is not None:
         config = config.with_cycle_budget(float(payload["max_cycles"]))
     return config

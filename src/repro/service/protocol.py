@@ -188,12 +188,10 @@ def resolve_machine(params: dict):
 
 
 def resolve_config(params: dict):
-    """Machine config from ``machine``/``no_fastpath``/``max_cycles``."""
+    """Machine config from ``machine``/``max_cycles``."""
     description = resolve_machine(params)
     config = DEFAULT_CONFIG if description is None \
         else description.config
-    if params.get("no_fastpath"):
-        config = config.without_fastpath()
     max_cycles = params.get("max_cycles")
     if max_cycles is not None:
         try:
@@ -219,8 +217,6 @@ def config_payload(params: dict) -> dict:
     if description is not None:
         payload["machine"] = description.name
         payload["machine_digest"] = description.digest
-    if params.get("no_fastpath"):
-        payload["no_fastpath"] = True
     if params.get("max_cycles") is not None:
         payload["max_cycles"] = float(params["max_cycles"])
     return payload

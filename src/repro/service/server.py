@@ -327,6 +327,12 @@ class AnalysisServer:
             self.metrics.count("accept_faults")
             writer.close()
             return
+        # asyncio reads each chunk into a new buffer of the transport's
+        # max_size (256 KiB), above glibc's initial mmap threshold, so
+        # unless earlier frees happened to raise that threshold, every
+        # read maps and unmaps fresh pages.  Requests are single short
+        # lines; 64 KiB reads come from the heap.
+        writer.transport.max_size = 64 * 1024
         self._conn_counter += 1
         client_id = f"client-{self._conn_counter}"
         self.metrics.count("connections")
@@ -606,7 +612,7 @@ class AnalysisServer:
             "kernel": request.payload["kernel"],
             "options": request.payload.get("options") or {},
         }
-        for name in ("no_fastpath", "max_cycles", "n"):
+        for name in ("max_cycles", "n"):
             if request.payload.get(name) is not None:
                 run_payload[name] = request.payload[name]
         try:

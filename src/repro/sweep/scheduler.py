@@ -39,10 +39,6 @@ Resilience semantics layered on top (see ``docs/robustness.md``):
 * ``deadline_s`` bounds the whole sweep's wall clock; work remaining
   at expiry becomes typed ``BudgetExceededError`` results, never a
   hang;
-* ``sentinel=True`` cross-checks the fast path against exact
-  interpretation on one sampled cell and degrades the affected
-  configuration to exact simulation on divergence
-  (:mod:`repro.resilience.sentinel`);
 * checkpoint writes are durable (CRC-framed, fsync'd) and checkpoint
   *reads* self-recover; a checkpoint that stops accepting writes
   degrades the sweep to checkpoint-less operation instead of killing
@@ -61,7 +57,6 @@ from dataclasses import dataclass, field
 
 from ..errors import ExperimentError, ReproError
 from ..resilience import faults as _faults
-from ..resilience import sentinel as _sentinel
 from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import Deadline
 from . import telemetry as tele
@@ -214,17 +209,12 @@ def execute_task(
     task: SweepTask,
     attempt: int = 1,
     fault: tuple[str, int] | None = None,
-    exact: bool = False,
 ) -> dict:
     """Run one sweep cell; returns a picklable payload dict.
 
     Deterministic domain errors come back as ``status="error"``
     payloads (they would fail identically on retry); unexpected
     exceptions propagate so the scheduler's retry machinery engages.
-
-    ``exact=True`` executes the cell with the fast path disabled
-    while keeping the task's identity (key/label) — the divergence
-    sentinel's degradation path.
     """
     if fault is not None:
         kind, fail_attempts = fault
@@ -249,10 +239,6 @@ def execute_task(
         "stages": {},
         "counters": {},
     }
-    if exact and task.mode == "run" and task.config.fastpath:
-        import dataclasses as _dc
-
-        task = _dc.replace(task, config=task.config.without_fastpath())
     with tele.collecting() as task_tele:
         try:
             payload["metrics"] = _compute_metrics(task)
@@ -325,7 +311,6 @@ class _Pending:
     task: SweepTask
     attempt: int  # next attempt number (1-based)
     ready_at: float = 0.0  # backoff: not before this monotonic time
-    exact: bool = False    # sentinel degradation: run without fastpath
 
 
 def run_sweep(
@@ -336,7 +321,6 @@ def run_sweep(
     retries: int = 2,
     retry: RetryPolicy | None = None,
     deadline_s: float | None = None,
-    sentinel: bool = False,
     checkpoint: str | None = None,
     trace: str | None = None,
     inject_faults: dict[int, tuple[str, int]] | None = None,
@@ -372,7 +356,6 @@ def run_sweep(
         timeout=timeout,
         retries=policy.retries,
         deadline_s=deadline_s,
-        sentinel=sentinel,
         chaos=plan.name if plan is not None else None,
     )
 
@@ -394,36 +377,6 @@ def run_sweep(
                            task=task.label)
         else:
             pending.append(_Pending(index, task, attempt=1))
-
-    # -- fastpath divergence sentinel (graceful degradation) -----------
-    if sentinel and pending:
-        sampled = _sentinel.pick_cell(
-            [item.task for item in pending]
-        )
-        if sampled is not None:
-            verdict = _sentinel.cross_check(sampled)
-            telemetry.emit("sentinel_check", **verdict.to_event())
-            if verdict.diverged:
-                affected = [
-                    item for item in pending
-                    if _sentinel.eligible(item.task)
-                    and item.task.config == sampled.config
-                ]
-                for item in affected:
-                    item.exact = True
-                telemetry.emit(
-                    "fastpath_divergence", key=verdict.key,
-                    task=verdict.label,
-                    fast_cycles=verdict.fast_cycles,
-                    exact_cycles=verdict.exact_cycles,
-                    mismatches=list(verdict.mismatches),
-                )
-                telemetry.emit(
-                    "config_quarantined",
-                    reason=verdict.reason,
-                    tasks=[item.task.key for item in affected],
-                    fallback="exact simulation (fastpath disabled)",
-                )
 
     ckpt_ok = True
 
@@ -520,7 +473,6 @@ def run_sweep(
                 _Pending(
                     item.index, item.task, item.attempt + 1,
                     ready_at=time.monotonic() + backoff,
-                    exact=item.exact,
                 )
             )
 
@@ -579,8 +531,7 @@ def _run_sequential(pending, faults, finish, retry_or_fail,
         cached = _probe_run_cache(item.task)
         try:
             payload = execute_task(
-                item.task, item.attempt, faults.get(item.index),
-                exact=item.exact,
+                item.task, item.attempt, faults.get(item.index)
             )
         except Exception as exc:  # injected/unexpected faults
             retry_or_fail(item, f"{type(exc).__name__}: {exc}",
@@ -650,7 +601,7 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
                 item = queue.popleft()
                 future = executor.submit(
                     execute_task, item.task, item.attempt,
-                    faults.get(item.index), item.exact,
+                    faults.get(item.index)
                 )
                 in_flight[future] = (item, time.monotonic())
                 submitted = True

@@ -322,9 +322,6 @@ def summarize_trace(events: list[dict] | str) -> str:
         table.add_row("malformed trace lines", malformed)
     if by_kind.get("fault_injected"):
         table.add_row("faults injected", by_kind["fault_injected"])
-    if by_kind.get("fastpath_divergence"):
-        table.add_row("fastpath divergences",
-                      by_kind["fastpath_divergence"])
     if by_kind.get("budget_exceeded"):
         table.add_row("budget exceeded", by_kind["budget_exceeded"])
     for name, totals in sorted(stage_totals.items()):

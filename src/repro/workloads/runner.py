@@ -41,13 +41,16 @@ _RUN_CACHE_MAX = 256
 
 
 def clear_caches() -> None:
-    """Drop all memoized compilations, runs, analyses, and A/X data,
-    and deactivate any telemetry collector left over from a sweep."""
+    """Drop all memoized compilations, runs, decoded instructions,
+    analyses, and A/X data, and deactivate any telemetry collector left
+    over from a sweep."""
     _COMPILE_CACHE.clear()
     _RUN_CACHE.clear()
     from ..analysis import clear_analysis_cache
+    from ..machine import semantics
     from ..model import ax
 
+    semantics._DECODE_CACHE.clear()
     ax._AX_CACHE.clear()
     clear_analysis_cache()
     # The static-prediction memo keys on (kernel, options, config) but

@@ -49,21 +49,6 @@ class TestExactTier:
         assert prediction.cycles_high == prediction.cycles
         assert prediction.relative_width == 0.0
 
-    def test_no_fastpath_config_still_exact(self):
-        spec, _compiled, prediction = predict_spec(
-            "lfk1", DEFAULT_CONFIG.without_fastpath()
-        )
-        result = run_kernel(
-            spec, config=DEFAULT_CONFIG.without_fastpath()
-        ).result
-        assert prediction.exact
-        assert prediction.cycles == result.cycles
-
-    def test_fastpath_summarizes_loops(self):
-        _spec, _compiled, prediction = predict_spec("lfk1")
-        assert prediction.loops_summarized >= 1
-        assert prediction.iterations_skipped > 0
-
     def test_scalar_recurrence_kernel_is_exact(self):
         # lfk5 has no vector loop at all: pure scalar interpretation.
         spec, _compiled, prediction = predict_spec("lfk5")

@@ -118,3 +118,14 @@ class TestProcessMode:
         assert not os.path.exists(
             os.path.join(str(tmp_path), "replica-0.sock")
         )
+
+    def test_subprocess_replica_gets_the_fleet_settings(self, tmp_path):
+        fleet = Fleet(
+            str(tmp_path), 1, mode="process", cache_max=7,
+            job_timeout_s=30.0,
+        ).start()
+        try:
+            cache = fleet.metrics("replica-0")["cache"]
+            assert cache["max_entries"] == 7
+        finally:
+            fleet.stop()

@@ -23,7 +23,7 @@ def _env():
 def _sweep(extra, timeout=600):
     return subprocess.run(
         [sys.executable, "-m", "repro", "sweep", *GRID,
-         "--no-sentinel", "--jobs", "1", *extra],
+         "--jobs", "1", *extra],
         cwd=REPO, env=_env(), capture_output=True, text=True,
         timeout=timeout,
     )
@@ -38,8 +38,7 @@ class TestKillResume:
         ckpt = tmp_path / "sweep.ckpt"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", *GRID,
-             "--no-sentinel", "--jobs", "1",
-             "--checkpoint", str(ckpt)],
+             "--jobs", "1", "--checkpoint", str(ckpt)],
             cwd=REPO, env=_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -98,7 +97,7 @@ class TestKillResume:
         ckpt = tmp_path / "sweep.ckpt"
         chaotic = subprocess.run(
             [sys.executable, "-m", "repro", "--chaos", str(plan),
-             "sweep", *GRID, "--no-sentinel", "--jobs", "2",
+             "sweep", *GRID, "--jobs", "2",
              "--checkpoint", str(ckpt),
              "--trace", str(tmp_path / "chaos-trace.jsonl")],
             cwd=REPO, env=_env(), capture_output=True, text=True,

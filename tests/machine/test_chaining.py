@@ -44,17 +44,6 @@ def test_dependent_chain_pays_full_stream_latency():
     assert unchained.result.cycles > chained.result.cycles * 1.5
 
 
-@pytest.mark.parametrize("fastpath", [True, False],
-                         ids=["fastpath", "interpreter"])
-def test_fastpath_agrees_with_interpreter_when_unchained(fastpath):
-    config = NO_CHAIN if fastpath else NO_CHAIN.without_fastpath()
-    run = run_kernel("lfk7", config=config, verify=True)
-    reference = run_kernel(
-        "lfk7", config=NO_CHAIN.without_fastpath(), verify=True
-    )
-    assert run.result.cycles == reference.result.cycles
-
-
 def test_chime_rules_follow_the_machine():
     rules = ChimeRules.for_machine(NO_CHAIN)
     assert not rules.chaining

@@ -3,8 +3,7 @@
 The machine file must be a faithful, byte-identical re-declaration of
 the baseline the whole reproduction was calibrated against: identical
 resolved config, identical content digest, and identical simulated
-cycles/counters on every shipped workload with the fast path both on
-and off.
+cycles/counters on every shipped workload.
 """
 
 import pytest
@@ -33,21 +32,11 @@ def test_content_digest_matches_the_baseline(c240):
     assert c240.digest == digest(DEFAULT_CONFIG)
 
 
-@pytest.mark.parametrize("fastpath", [True, False],
-                         ids=["fastpath", "interpreter"])
 @pytest.mark.parametrize("name", workload_names())
-def test_runs_byte_identical_to_hardcoded_baseline(
-    c240, name, fastpath
-):
-    baseline_config = (
-        DEFAULT_CONFIG if fastpath else DEFAULT_CONFIG.without_fastpath()
-    )
-    file_config = (
-        c240.config if fastpath else c240.config.without_fastpath()
-    )
+def test_runs_byte_identical_to_hardcoded_baseline(c240, name):
     spec = workload(name)
-    baseline = run_kernel(spec, config=baseline_config, verify=True)
-    from_file = run_kernel(spec, config=file_config, verify=True)
+    baseline = run_kernel(spec, config=DEFAULT_CONFIG, verify=True)
+    from_file = run_kernel(spec, config=c240.config, verify=True)
     assert from_file.result.cycles == baseline.result.cycles
     br, fr = baseline.result, from_file.result
     assert (fr.instructions_executed, fr.vector_instructions,

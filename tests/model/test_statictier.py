@@ -28,7 +28,7 @@ class TestMemoization:
 
     def test_distinct_configs_are_distinct_entries(self):
         predict_kernel("lfk1")
-        predict_kernel("lfk1", config=DEFAULT_CONFIG.without_fastpath())
+        predict_kernel("lfk1", config=DEFAULT_CONFIG.without_refresh())
         assert static_cache_size() == 2
 
     def test_clear_caches_resets_the_memo(self):

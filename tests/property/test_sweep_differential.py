@@ -1,12 +1,8 @@
 """Differential properties of the sweep engine.
 
-Two families of hypothesis-generated grids:
-
-* **sweep vs loop** — for any grid, `run_sweep` (sequential or
-  parallel) must produce metrics bit-identical to a plain
-  `run_kernel` loop over the same cells;
-* **fastpath differential** — on randomized `MachineConfig`s, the
-  steady-state fast path must not change a single cycle or counter.
+For any hypothesis-generated grid over randomized `MachineConfig`s,
+`run_sweep` (sequential or parallel) must produce metrics bit-identical
+to a plain `run_kernel` loop over the same cells.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -22,7 +18,7 @@ KERNEL_NAMES = ("lfk1", "lfk3", "lfk11", "lfk12", "daxpy")
 VARIANT_NAMES = tuple(OPTION_VARIANTS)
 
 
-def configs(allow_no_fastpath: bool = True):
+def configs():
     """Randomized-but-valid MachineConfig variations."""
     return st.builds(
         DEFAULT_CONFIG.replace,
@@ -30,9 +26,6 @@ def configs(allow_no_fastpath: bool = True):
         branch_taken_penalty=st.integers(min_value=0, max_value=4),
         refresh_enabled=st.booleans(),
         memory_contention_factor=st.sampled_from([1.0, 1.2, 1.5]),
-        fastpath=(
-            st.booleans() if allow_no_fastpath else st.just(True)
-        ),
     )
 
 
@@ -95,31 +88,3 @@ class TestSweepMatchesSequentialLoop:
         parallel = run_sweep(tasks, jobs=2)
         assert parallel.results_jsonl() == sequential.results_jsonl()
 
-
-class TestFastpathDifferential:
-    @given(
-        name=st.sampled_from(KERNEL_NAMES),
-        variant=st.sampled_from(VARIANT_NAMES),
-        config=configs(allow_no_fastpath=False),
-        n=st.sampled_from([None, 32, 100]),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_fastpath_cycles_agree_on_random_configs(
-        self, name, variant, config, n
-    ):
-        options = OPTION_VARIANTS[variant]
-        spec = workload(name)
-        if n is not None:
-            spec = sized_spec(spec, n)
-        fast = run_kernel(spec, options, config)
-        slow = run_kernel(spec, options, config.without_fastpath())
-        assert fast.result.cycles == slow.result.cycles
-        assert (
-            fast.result.instructions_executed
-            == slow.result.instructions_executed
-        )
-        assert fast.result.flops == slow.result.flops
-        assert (
-            fast.result.vector_instructions
-            == slow.result.vector_instructions
-        )

@@ -1,8 +1,10 @@
 """Replay the recorded advise burst through the static path.
 
 ``data/advise_burst.ndjson`` is a recorded burst of ``advise``
-request frames covering every built-in workload plus problem-size,
-fast-path, and compiler-variant variations.  The CI ``static-tier``
+request frames covering every built-in workload plus problem-size
+and compiler-variant variations (two frames still carry the retired
+``no_fastpath`` parameter, which ``canonicalize`` ignores, so they are
+served as defaults).  The CI ``static-tier``
 job runs this module: every frame is answered by the static tier and
 then replayed **exactly** through the same worker entry point the
 server's calibration loop uses; the agreement ledger over the whole
@@ -42,7 +44,7 @@ def exact_replay_payload(payload):
         "kernel": payload["kernel"],
         "options": payload.get("options") or {},
     }
-    for name in ("no_fastpath", "max_cycles", "n"):
+    for name in ("max_cycles", "n"):
         if payload.get(name) is not None:
             run_payload[name] = payload[name]
     return run_payload

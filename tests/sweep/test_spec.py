@@ -21,7 +21,7 @@ class TestSweepTask:
     def test_key_distinguishes_config_size_and_mode(self):
         base = SweepTask("lfk1")
         assert base.key != SweepTask(
-            "lfk1", config=DEFAULT_CONFIG.without_fastpath()
+            "lfk1", config=DEFAULT_CONFIG.without_refresh()
         ).key
         assert base.key != SweepTask("lfk1", n=64).key
         assert base.key != SweepTask("lfk1", mode="bound").key

@@ -107,12 +107,6 @@ class TestErrorPaths:
         assert main(["sweep", "lfk1", "--variants", "bogus"]) == 2
         assert "unknown option variant" in capsys.readouterr().err
 
-    def test_run_profile_conflicts_with_no_fastpath(self, capsys):
-        assert main(
-            ["run", "lfk1", "--profile", "--no-fastpath"]
-        ) == 2
-        assert "conflicts" in capsys.readouterr().err
-
     def test_experiment_bad_jobs_value(self, capsys):
         assert main(["experiment", "figure1", "--jobs", "0"]) == 5
         assert "jobs" in capsys.readouterr().err

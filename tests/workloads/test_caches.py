@@ -1,5 +1,6 @@
 """Cache lifecycle regressions.
 
+``compile_spec`` and ``run_kernel`` memoize by content.
 ``clear_caches()`` must wipe every process-wide memo *and* the sweep
 telemetry collector, and forked sweep workers must start cold — a
 child inheriting the parent's run cache would report ``cached``
@@ -7,10 +8,18 @@ statuses for cells it never simulated, and an inherited telemetry
 collector would write to the parent's trace file descriptor.
 """
 
+import dataclasses
 import os
 
+from repro.machine import DEFAULT_CONFIG, semantics
 from repro.sweep import telemetry
-from repro.workloads import clear_caches, run_kernel, workload
+from repro.workloads import (
+    clear_caches,
+    compile_spec,
+    kernel,
+    run_kernel,
+    workload,
+)
 from repro.workloads import runner
 
 
@@ -19,12 +28,95 @@ def warm_caches():
     assert runner._COMPILE_CACHE and runner._RUN_CACHE
 
 
+class TestRunnerCaches:
+    def setup_method(self):
+        clear_caches()
+
+    def teardown_method(self):
+        clear_caches()
+
+    def test_compile_spec_memoized(self):
+        spec = kernel("lfk1")
+        assert compile_spec(spec) is compile_spec(spec)
+
+    def test_compile_cache_distinguishes_specs(self):
+        assert compile_spec(kernel("lfk1")) is not compile_spec(
+            kernel("lfk2")
+        )
+
+    def test_run_kernel_memoized(self):
+        spec = kernel("lfk1")
+        assert run_kernel(spec) is run_kernel(spec)
+
+    def test_run_cache_distinguishes_configs(self):
+        spec = kernel("lfk1")
+        base = run_kernel(spec)
+        assert run_kernel(spec, config=DEFAULT_CONFIG.without_refresh()) \
+            is not base
+
+    def test_cached_run_matches_fresh_run(self):
+        spec = kernel("lfk3")
+        cached = run_kernel(spec)
+        clear_caches()
+        fresh = run_kernel(spec)
+        assert cached is not fresh
+        assert cached.result.cycles == fresh.result.cycles
+
+    def test_clear_caches_resets(self):
+        spec = kernel("lfk1")
+        first = run_kernel(spec)
+        clear_caches()
+        assert run_kernel(spec) is not first
+
+    def test_explicit_compiled_bypasses_run_cache(self):
+        spec = kernel("lfk1")
+        compiled = compile_spec(spec)
+        first = run_kernel(spec, compiled=compiled)
+        second = run_kernel(spec, compiled=compiled)
+        assert first is not second
+
+    def test_verify_upgrades_cached_entry(self):
+        spec = kernel("lfk1")
+        run_kernel(spec, verify=False)
+        # the cached run is re-verified on demand, not re-simulated
+        assert run_kernel(spec, verify=True) is run_kernel(spec)
+
+    def test_clear_caches_resets_analysis_memo(self):
+        from repro import analysis
+
+        program = compile_spec(kernel("lfk1")).program
+        first = analysis.analyze_program(program)
+        assert analysis.analysis_cache_size() >= 1
+        assert analysis.analyze_program(program) is first
+        clear_caches()
+        assert analysis.analysis_cache_size() == 0
+        assert analysis.analyze_program(program) is not first
+
+    def test_sized_variants_not_conflated(self):
+        base = kernel("lfk1")
+        small = dataclasses.replace(
+            base,
+            scalar_inputs={**base.scalar_inputs, "n": 64},
+            inner_iterations=64,
+            trip_profile=(64,),
+        )
+        assert run_kernel(base).result.cycles \
+            != run_kernel(small).result.cycles
+
+
 class TestClearCaches:
     def test_clears_compile_and_run_caches(self):
         warm_caches()
         clear_caches()
         assert not runner._COMPILE_CACHE
         assert not runner._RUN_CACHE
+
+    def test_clears_the_decode_memo(self):
+        first = run_kernel(workload("lfk12")).result.cycles
+        assert semantics._DECODE_CACHE
+        clear_caches()
+        assert not semantics._DECODE_CACHE
+        assert run_kernel(workload("lfk12")).result.cycles == first
 
     def test_deactivates_leftover_telemetry_collector(self):
         collector = telemetry.Telemetry()
