@@ -7,19 +7,21 @@ returns the same cycle count and counter schema a
 confidence interval — without executing a single vector element.
 
 The engine rests on one structural fact about the C-240 timing model:
-``TimingModel`` consumes only *control* state (the instruction stream,
+the timing rules consume only *control* state (the instruction stream,
 branch directions, and VL at each vector instruction), never vector
 *data*.  A walker that resolves control flow exactly can therefore
-drive the real timing model and reproduce the simulator's cycles bit
-for bit.  Control flow in the compiled kernels is scalar-register
-arithmetic over known inputs, so the walker tracks an abstraction of
-the scalar machine:
+drive the simulator's own run loop
+(:func:`~repro.machine.pipeline.run_lowered`) with abstract steps and
+reproduce the simulator's cycles bit for bit.  Control flow in the
+compiled kernels is scalar-register arithmetic over known inputs, so
+the walker tracks an abstraction of the scalar machine:
 
 * **a/s/VS registers** — concrete Python ``int``/``float`` values, or
   TOP (data-dependent: loaded from unknown memory, read out of a
   vector, or a ``sum`` reduction).  Scalar float arithmetic mirrors
-  ``execute_decoded`` operation for operation, so concrete values are
-  bit-identical to the interpreter's.
+  the simulator's steps (:func:`~repro.machine.semantics.lower_step`)
+  operation for operation, so concrete values are bit-identical to the
+  interpreter's.
 * **VL** — always concrete (the strip-mine protocol writes it from
   trip counters); a write from TOP aborts the exact tier.
 * **flag** — concrete ``bool`` or TOP; a conditional branch on TOP
@@ -28,10 +30,11 @@ the scalar machine:
   initial image (scalar inputs + compiler literal pool); stores with
   unknown addresses clear it, loads of unmapped words produce TOP.
 
-The walker steps every executed instruction, loop iterations included,
-the way :meth:`Simulator.run <repro.machine.simulator.Simulator.run>`
-does, so its cycle arithmetic is the simulator's own: only the vector
-element values are left out.
+The walker's steps replace only the simulator's value closures: the
+run loop, its timing records, counters and watchdog budgets are the
+ones :meth:`Simulator.run <repro.machine.simulator.Simulator.run>` uses,
+so every executed instruction, loop iterations included, is timed by
+the same code.  Only the vector element values are left out.
 
 When a proof obligation fails (a data-dependent branch, a ``T_LEGACY``
 instruction, the scalar-cache model), prediction falls back to the
@@ -44,13 +47,14 @@ confidence interval (see :data:`MODEL_TIER_WIDEN`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from ..errors import AnalysisError
 from ..isa.program import Program
 from ..machine.config import MachineConfig
 from ..machine.memory import MemorySystem
-from ..machine.pipeline import PipelineState, TimingModel
+from ..machine.pipeline import RunTotals, lower, run_lowered
 from ..machine.semantics import (
     OP_ADD,
     OP_DIV,
@@ -79,7 +83,6 @@ from ..machine.semantics import (
     decode_program,
 )
 from ..resilience import faults as _faults
-from ..resilience import watchdog
 from ..schedule.chimes import ChimeRules, refresh_factor_for
 
 #: Mirror of the simulator's runaway guard.
@@ -177,11 +180,12 @@ class StaticPrediction:
 
 
 class _Walker:
-    """Abstract interpreter driving the real timing model.
+    """Abstract interpreter driving the simulator's run loop.
 
     TOP is represented as ``None`` in the register lists and as an
     absent key in the memory map.  All mirror arithmetic happens on
-    the same Python ``int``/``float`` types as ``execute_decoded``.
+    the same Python ``int``/``float`` types as the simulator's
+    :func:`~repro.machine.semantics.lower_step` closures.
     """
 
     def __init__(
@@ -199,16 +203,6 @@ class _Walker:
         self.config = config
         self.max_instructions = max_instructions
         self.decoded = decode_program(program)
-        self.memory_model = MemorySystem(
-            program.layout.total_words, config
-        )
-        self.state = PipelineState(config)
-        self.model = TimingModel(config, self.memory_model)
-        timings = config.timings
-        self.vtimings = tuple(
-            timings.lookup(d.timing_key) if d.is_vector else None
-            for d in self.decoded
-        )
         # -- abstract architectural state (RegisterFile reset mirror) --
         from ..isa.registers import (
             NUM_ADDRESS_REGISTERS,
@@ -222,18 +216,11 @@ class _Walker:
         self.vs: int | None = 1
         self.flag: bool | None = False
         self.mem: dict[int, float] = dict(known_memory or {})
-        # -- counters (simulator run-loop mirror) ----------------------
-        self.executed = 0
-        self.vector_count = 0
-        self.scalar_count = 0
-        self.vector_memory = 0
-        self.scalar_memory = 0
-        self.flops = 0
 
-    # -- abstract scalar semantics (execute_decoded mirror) ------------
+    # -- abstract scalar semantics (lower_step mirror) -----------------
 
     def _fetch(self, spec: Any) -> int | float | None:
-        """Raw scalar operand (mirror of ``fetch_scalar``)."""
+        """Raw scalar operand (mirror of ``semantics._getter``)."""
         kind, payload = spec
         if kind == K_IMM:
             return payload  # int or float exactly as decoded
@@ -246,12 +233,12 @@ class _Walker:
         return self.vs
 
     def _fetch_float(self, spec: Any) -> float | None:
-        """Floated ALU operand (mirror of ``_fetch_float``)."""
+        """Floated ALU operand (mirror of ``semantics._float_getter``)."""
         value = self._fetch(spec)
         return None if value is None else float(value)
 
     def _write(self, spec: Any, value: int | float | None) -> None:
-        """Scalar register write (mirror of ``write_scalar``)."""
+        """Scalar register write (mirror of ``semantics._setter``)."""
         kind, payload = spec
         if kind == K_A:
             self.a[payload] = None if value is None else int(value)
@@ -353,48 +340,20 @@ class _Walker:
             raise _Bail("legacy-instruction")
         return False
 
-    # -- the run loop (Simulator.run mirror) ---------------------------
-
-    def run(self) -> None:
-        program = self.program
+    def run(self) -> RunTotals:
+        """Drive the pipeline's run loop with the abstract steps."""
         decoded = self.decoded
-        state = self.state
-        model = self.model
-        vtimings = self.vtimings
-        cycle_budget = self.config.cycle_budget
-        n_instructions = len(program)
-        pc = 0
-        while 0 <= pc < n_instructions:
-            if self.executed >= self.max_instructions:
-                watchdog.check_instructions(
-                    self.executed, self.max_instructions, program.name
-                )
-            if cycle_budget is not None:
-                watchdog.check_cycles(
-                    state.issue_clock, cycle_budget, program.name
-                )
-            d = decoded[pc]
-            taken = self._step(d)
-            if d.is_vector:
-                model.time_vector_decoded(
-                    state, d, vtimings[pc], pc, self.vl, record=False
-                )
-                self.vector_count += 1
-                if d.is_vector_memory:
-                    self.vector_memory += 1
-                self.flops += d.flop_count * self.vl
-            else:
-                if d.is_scalar_memory:
-                    self.scalar_memory += 1
-                model.time_scalar_decoded(
-                    state, d, pc,
-                    branch_taken=taken,
-                    word_address=None,
-                    record=False,
-                )
-                self.scalar_count += 1
-            self.executed += 1
-            pc = d.target_pc if taken else pc + 1
+        config = self.config
+        # the loop reads timing parameters only; no words are stored
+        memory = MemorySystem(0, config)
+        lowered = lower(
+            decoded, [partial(self._step, d) for d in decoded],
+            config, memory,
+        )
+        return run_lowered(
+            self.program.name, lowered, self, config, memory,
+            self.max_instructions,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -505,28 +464,28 @@ def predict_program(
     exact-tier *proof* failures fall back to the model tier.
     """
     try:
-        walker = _Walker(program, config, known_memory, max_instructions)
-        walker.run()
+        totals = _Walker(
+            program, config, known_memory, max_instructions
+        ).run()
     except _Bail as bail:
         return _model_tier(program, config, trips, bail.reason)
-    state = walker.state
+    cycles = float(totals.cycles)
     spec = _faults.check("static.predict")
     if spec is not None and spec.kind == "skew":
-        # Chaos hook: push the static clocks off the exact timeline so
+        # Chaos hook: push the static cycles off the exact timeline so
         # the calibration loop has a real defect to catch.  Dead (one
         # ``is None`` test) without an armed plan.
-        state.shift_clocks(spec.value)
-    cycles = float(state.finish_time())
+        cycles += spec.value
     return StaticPrediction(
         program_name=program.name,
         tier="exact",
         cycles=cycles,
         cycles_low=cycles,
         cycles_high=cycles,
-        instructions_executed=walker.executed,
-        vector_instructions=walker.vector_count,
-        scalar_instructions=walker.scalar_count,
-        vector_memory_ops=walker.vector_memory,
-        scalar_memory_ops=walker.scalar_memory,
-        flops=walker.flops,
+        instructions_executed=totals.instructions_executed,
+        vector_instructions=totals.vector_instructions,
+        scalar_instructions=totals.scalar_instructions,
+        vector_memory_ops=totals.vector_memory_ops,
+        scalar_memory_ops=totals.scalar_memory_ops,
+        flops=totals.flops,
     )

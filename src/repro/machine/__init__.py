@@ -22,7 +22,7 @@ from .multiprocessor import (
     contention_factor_for_load,
     run_under_contention,
 )
-from .pipeline import InstructionTiming, PipelineState, TimingModel, VectorStream
+from .pipeline import InstructionTiming
 from .semantics import effective_address, execute_instruction
 from .simulator import (
     DEFAULT_MAX_INSTRUCTIONS,
@@ -48,13 +48,10 @@ __all__ = [
     "MachineConfig",
     "MemorySystem",
     "PipeOccupancy",
-    "PipelineState",
     "RegisterFile",
     "SimulationResult",
     "ScalarCache",
     "Simulator",
-    "TimingModel",
-    "VectorStream",
     "WorkloadMix",
     "chime_completion_times",
     "contention_factor_for_load",

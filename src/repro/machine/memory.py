@@ -55,20 +55,20 @@ class MemorySystem:
             )
         return index
 
-    def _vector_indices(
+    def _vector_start(
         self, address_bytes: int, stride_words: int, count: int
-    ) -> np.ndarray:
+    ) -> int:
+        """First word of a strided access; checks its first and last
+        word against the memory's bounds."""
         start = self._word_index(address_bytes)
-        indices = start + stride_words * np.arange(count)
-        if count and not (
-            0 <= indices.min() and indices.max() < len(self._words)
-        ):
+        last = start + stride_words * (count - 1)
+        if count and not 0 <= last < len(self._words):
             raise MemoryError_(
-                f"vector access [{indices.min()}..{indices.max()}] "
+                f"vector access [{min(start, last)}..{max(start, last)}] "
                 f"(stride {stride_words}) exceeds memory of "
                 f"{len(self._words)} words"
             )
-        return indices
+        return start
 
     def read_word(self, address_bytes: int) -> float:
         return float(self._words[self._word_index(address_bytes)])
@@ -79,9 +79,12 @@ class MemorySystem:
     def read_vector(
         self, address_bytes: int, stride_words: int, count: int
     ) -> np.ndarray:
-        return self._words[
-            self._vector_indices(address_bytes, stride_words, count)
-        ].copy()
+        start = self._vector_start(address_bytes, stride_words, count)
+        if stride_words > 0:
+            stop = start + stride_words * count
+            return self._words[start:stop:stride_words].copy()
+        # fancy indexing already copies
+        return self._words[start + stride_words * np.arange(count)]
 
     def write_vector(
         self,
@@ -89,10 +92,14 @@ class MemorySystem:
         stride_words: int,
         values: np.ndarray,
     ) -> None:
-        indices = self._vector_indices(
-            address_bytes, stride_words, len(values)
-        )
-        self._words[indices] = values
+        count = len(values)
+        start = self._vector_start(address_bytes, stride_words, count)
+        if stride_words > 0:
+            stop = start + stride_words * count
+            self._words[start:stop:stride_words] = values
+        else:
+            # repeated indices (stride 0) keep the last value
+            self._words[start + stride_words * np.arange(count)] = values
 
     def load_array(self, offset_words: int, values: np.ndarray) -> None:
         """Bulk-initialize a region (used to set up kernel input data)."""

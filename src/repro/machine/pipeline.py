@@ -1,4 +1,4 @@
-"""Instruction-level timing model of the C-240 CPU.
+"""Instruction-level timing model of the C-240 CPU, and the run loop.
 
 The model tracks, per function pipe and per register, *when* values and
 resources become available, and computes for each instruction the four
@@ -27,34 +27,33 @@ The model reproduces the paper's §3.3 behaviours:
   serialize, so a scalar load splits chimes;
 * **memory refresh** — streams overlapping a refresh stall 8 cycles;
 * **bank throttling** — non-unit power-of-two strides stream slower.
+
+A run happens in two steps.  :func:`lower` resolves, once per run and
+in time linear in the program, every per-instruction fact the rules
+need (pipe slot, ``X``/``Y``/``Z``/``B``, the bank-limited base rate,
+register slots as plain ints) into one record per pc, next to a *step*
+closure that applies the instruction's value semantics.
+:func:`run_lowered` is the one run loop: it calls each step, applies the
+timing rules to state held in flat lists indexed by pipe, vector
+register and scalar slot, counts, traces and enforces the watchdog
+budgets.  The simulator drives it with concrete steps; the static
+walker (:mod:`repro.analysis.staticpred`) with abstract ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Protocol
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, Pipe
-from ..isa.registers import Register
-from .cache import ScalarCache
+from ..isa.registers import NUM_VECTOR_REGISTERS, Register, RegisterClass
+from ..resilience import watchdog
+from .cache import CacheStats, ScalarCache
 from .config import MachineConfig
 from .memory import MemorySystem
 from .semantics import DecodedInstruction
-
-@dataclass
-class VectorStream:
-    """Availability profile of a vector register's current contents.
-
-    Element ``i`` is available at ``first + i * rate``; ``end`` is when
-    the final element lands.
-    """
-
-    first: float = 0.0
-    rate: float = 1.0
-    end: float = 0.0
-
-    def streaming_at(self, cycle: float) -> bool:
-        return cycle < self.end
 
 
 @dataclass(frozen=True)
@@ -75,255 +74,340 @@ class InstructionTiming:
         return self.complete - self.dispatch
 
 
-class PipelineState:
-    """Mutable resource/operand availability state."""
+#: Function pipes by slot.
+_PIPES = tuple(Pipe)
+_PIPE_SLOT = {pipe: slot for slot, pipe in enumerate(_PIPES)}
 
-    def __init__(self, config: MachineConfig):
-        self.config = config
-        self.issue_clock = 0.0
-        #: when each pipe's input stage frees (tailgating point)
-        self.pipe_input_free: dict[Pipe, float] = {p: 0.0 for p in Pipe}
-        #: start time of the most recent instruction dispatched to each
-        #: pipe — the one-deep reservation station frees when it starts
-        self.pipe_reservation_free: dict[Pipe, float] = {p: 0.0 for p in Pipe}
-        self.memory_port_free = 0.0
-        self.vector_streams: dict[int, VectorStream] = {
-            i: VectorStream() for i in range(8)
-        }
-        #: per v-register: (start cycle, rate) of the most recent reader
-        self.vector_last_read: dict[int, tuple[float, float]] = {
-            i: (0.0, 1.0) for i in range(8)
-        }
-        self.scalar_ready: dict[Register, float] = {}
-        self.flag_ready = 0.0
-        self.last_complete = 0.0
-        self.scalar_cache: ScalarCache | None = (
-            ScalarCache(
-                config.scalar_cache_lines,
-                config.scalar_cache_line_words,
+#: Flat slot of each scalar-valued register: a0-a7, s0-s7, VL, VS, VM.
+_SLOT_BASE = {
+    RegisterClass.ADDRESS: 0,
+    RegisterClass.SCALAR: 8,
+    RegisterClass.VECTOR_LENGTH: 16,
+    RegisterClass.VECTOR_STRIDE: 17,
+    RegisterClass.VECTOR_MERGE: 18,
+}
+_SCALAR_SLOTS = 19
+
+
+def _scalar_slot(register: Register) -> int:
+    """Index of a scalar-valued register in the flat ready-time list."""
+    return _SLOT_BASE[register.rclass] + register.index
+
+
+#: One lowered instruction: ``(step, target_pc, vector, scalar)``.
+#: ``step()`` applies the value semantics and returns True when a
+#: branch is taken.  Exactly one of ``vector`` / ``scalar`` holds the
+#: instruction's timing facts, the other is None:
+#:
+#: ``vector`` = ``(pipe, x, y, b, rate, vl_floor, has_mem, reads,
+#: dest_v, dest_s, scalar_reads, flop_count, instr)``, where ``b`` is 0
+#: when bubbles are off, ``rate`` is ``max(Z, bank-limited stream
+#: rate)`` for memory operations and ``Z`` otherwise, ``reads`` are
+#: vector register indices, and ``dest_v`` / ``dest_s`` the vector /
+#: scalar destination (-1 when absent);
+#:
+#: ``scalar`` = ``(scalar_reads, scalar_writes, is_branch, is_compare,
+#: memory, base_idx, offset, instr)``, where ``memory`` is 0 (none),
+#: 1 (load) or 2 (store).
+Lowered = tuple[Callable[[], bool], int, Any, Any]
+
+_NO_MEMORY, _LOAD, _STORE = 0, 1, 2
+
+
+def lower(
+    decoded: Sequence[DecodedInstruction],
+    steps: Sequence[Callable[[], bool]],
+    config: MachineConfig,
+    memory: MemorySystem,
+) -> tuple[Lowered, ...]:
+    """Pair each pc's step with its pre-resolved timing facts."""
+    timings = config.timings
+    records: list[Lowered] = []
+    for d, step in zip(decoded, steps):
+        scalar_reads = tuple(_scalar_slot(r) for r in d.scalar_reads)
+        if d.is_vector:
+            timing = timings.lookup(d.timing_key)
+            assert d.pipe is not None
+            rate = timing.z
+            has_mem = d.mem_stride is not None
+            if has_mem:
+                rate = max(rate, memory.stream_rate(d.mem_stride))
+            dest = d.dest_reg
+            vector = (
+                _PIPE_SLOT[d.pipe], timing.x, timing.y,
+                timing.b if config.bubbles_enabled else 0,
+                rate, timing.vl_floor, has_mem, d.vector_read_idxs,
+                dest.index if d.dest_is_vector else -1,
+                _scalar_slot(dest)
+                if dest is not None and not d.dest_is_vector else -1,
+                scalar_reads, d.flop_count, d.instr,
             )
-            if config.scalar_cache_enabled
-            else None
-        )
-
-    def scalar_ready_time(self, register: Register) -> float:
-        return self.scalar_ready.get(register, 0.0)
-
-    def set_scalar_ready(self, register: Register, cycle: float) -> None:
-        self.scalar_ready[register] = cycle
-
-    def finish_time(self) -> float:
-        """Cycle when everything in flight has drained."""
-        return max(
-            self.issue_clock,
-            self.last_complete,
-            self.memory_port_free,
-            *self.pipe_input_free.values(),
-        )
-
-    def shift_clocks(self, delta: float) -> None:
-        """Advance every absolute clock by ``delta`` cycles."""
-        self.issue_clock += delta
-        for p in Pipe:
-            self.pipe_input_free[p] += delta
-            self.pipe_reservation_free[p] += delta
-        self.memory_port_free += delta
-        self.flag_ready += delta
-        self.last_complete += delta
-        for stream in self.vector_streams.values():
-            stream.first += delta
-            stream.end += delta
-        for i, (start, rate) in self.vector_last_read.items():
-            self.vector_last_read[i] = (start + delta, rate)
-        for reg in self.scalar_ready:
-            self.scalar_ready[reg] += delta
-
-
-class TimingModel:
-    """Applies per-instruction timing rules to a :class:`PipelineState`."""
-
-    def __init__(self, config: MachineConfig, memory: MemorySystem):
-        self.config = config
-        self.memory = memory
-
-    # ------------------------------------------------------------------
-    # Vector instructions
-    # ------------------------------------------------------------------
-
-    def _scalar_operand_ready(
-        self, state: PipelineState, d: DecodedInstruction
-    ) -> float:
-        ready = 0.0
-        scalar_ready = state.scalar_ready
-        for reg in d.scalar_reads:
-            t = scalar_ready.get(reg, 0.0)
-            if t > ready:
-                ready = t
-        return ready
-
-    def time_vector_decoded(
-        self, state: PipelineState, d: DecodedInstruction, timing,
-        pc: int, vl: int, record: bool = True,
-    ) -> InstructionTiming | None:
-        if vl <= 0:
-            raise SimulationError(
-                f"pc {pc}: vector instruction {d.instr} executed with "
-                f"VL={vl}"
+            records.append((step, d.target_pc, vector, None))
+        else:
+            if not d.touches_memory:
+                memory_kind = _NO_MEMORY
+            elif d.mnemonic == "ld":
+                memory_kind = _LOAD
+            else:
+                memory_kind = _STORE
+            scalar = (
+                scalar_reads,
+                tuple(_scalar_slot(r) for r in d.scalar_writes),
+                d.is_branch, d.is_compare, memory_kind,
+                d.base_idx, d.offset, d.instr,
             )
-        pipe = d.pipe
-        assert pipe is not None
+            records.append((step, d.target_pc, None, scalar))
+    return tuple(records)
 
-        # --- in-order dispatch; one-deep per-pipe reservation ----------
-        dispatch = max(
-            state.issue_clock,
-            state.pipe_reservation_free[pipe],
-            self._scalar_operand_ready(state, d),
-        )
-        issue_done = dispatch + timing.x
-        state.issue_clock = issue_done
 
-        # --- element streaming start -----------------------------------
-        constraints = [issue_done, state.pipe_input_free[pipe]]
-        rate = timing.z
-        has_mem = d.mem_stride is not None
-        if has_mem:
-            constraints.append(state.memory_port_free)
-            rate = max(rate, self.memory.stream_rate(d.mem_stride))
-        source_streams: list[VectorStream] = []
-        chaining = self.config.chaining_enabled
-        for idx in d.vector_read_idxs:
-            stream = state.vector_streams[idx]
+class Registers(Protocol):
+    """What the run loop reads of the register state its steps
+    update: the vector length, and address registers for the
+    scalar-cache model."""
+
+    vl: int
+    a: Any
+
+
+@dataclass
+class RunTotals:
+    """What one run of :func:`run_lowered` measured."""
+
+    cycles: float
+    instructions_executed: int
+    vector_instructions: int
+    scalar_instructions: int
+    vector_memory_ops: int
+    scalar_memory_ops: int
+    flops: int
+    trace: list[InstructionTiming] = field(default_factory=list)
+    #: populated when the scalar-cache model is enabled
+    scalar_cache: CacheStats | None = None
+
+
+def run_lowered(
+    name: str,
+    lowered: Sequence[Lowered],
+    registers: Registers,
+    config: MachineConfig,
+    memory: MemorySystem,
+    max_instructions: int,
+    record_trace: bool = False,
+) -> RunTotals:
+    """Step and time the lowered program from pc 0 until control falls
+    off either end.
+
+    Raises :class:`~repro.errors.BudgetExceededError` when
+    ``max_instructions`` or the config's ``cycle_budget`` is exhausted
+    (the cycle ceiling is checked before each instruction and once more
+    on the drained finish time), and :class:`SimulationError` when a
+    vector instruction runs with ``VL <= 0``.
+    """
+    chaining = config.chaining_enabled
+    refresh = config.refresh_enabled
+    refresh_stall = memory.refresh_stall_for_stream
+    stall_scalar_access = memory.stall_scalar_access
+    issue = config.scalar_issue_cycles
+    branch_penalty = config.branch_taken_penalty
+    load_latency = float(config.scalar_load_latency)
+    cache = (
+        ScalarCache(config.scalar_cache_lines,
+                    config.scalar_cache_line_words)
+        if config.scalar_cache_enabled else None
+    )
+    hit_latency = float(config.scalar_cache_hit_latency)
+    miss_latency = float(config.scalar_cache_miss_latency)
+    cycle_budget = config.cycle_budget
+
+    # -- timing state ---------------------------------------------------
+    issue_clock = 0.0  # in-order single-issue front end
+    port_free = 0.0  # the single CPU<->memory port
+    flag_ready = 0.0
+    last_complete = 0.0
+    #: per pipe: when its input stage frees (tailgating point), and the
+    #: start of its most recent instruction (the one-deep reservation
+    #: station frees when that instruction starts)
+    pipe_input = [0.0] * len(_PIPES)
+    pipe_reserved = [0.0] * len(_PIPES)
+    #: per vector register: its contents' availability profile —
+    #: element i lands at first + i * rate, the last at end
+    stream_first = [0.0] * NUM_VECTOR_REGISTERS
+    stream_rate = [1.0] * NUM_VECTOR_REGISTERS
+    stream_end = [0.0] * NUM_VECTOR_REGISTERS
+    #: per vector register: (start, rate) of its most recent reader
+    read_start = [0.0] * NUM_VECTOR_REGISTERS
+    read_rate = [1.0] * NUM_VECTOR_REGISTERS
+    #: per scalar slot: when its value is ready
+    ready = [0.0] * _SCALAR_SLOTS
+
+    trace: list[InstructionTiming] = []
+    executed = 0
+    vector_count = 0
+    scalar_count = 0
+    vector_memory = 0
+    scalar_memory = 0
+    flops = 0
+    n_instructions = len(lowered)
+    pc = 0
+    while 0 <= pc < n_instructions:
+        if executed >= max_instructions:
+            watchdog.check_instructions(executed, max_instructions, name)
+        if cycle_budget is not None:
+            watchdog.check_cycles(issue_clock, cycle_budget, name)
+        step, target_pc, vector, scalar = lowered[pc]
+        taken = step()
+        if vector is not None:
+            (pipe, x, y, b, rate, vl_floor, has_mem, reads, dest_v,
+             dest_s, scalar_reads, flop_count, instr) = vector
+            vl = registers.vl
+            if vl <= 0:
+                raise SimulationError(
+                    f"pc {pc}: vector instruction {instr} executed with "
+                    f"VL={vl}"
+                )
+            # in-order dispatch; one-deep per-pipe reservation
+            dispatch = issue_clock
+            if pipe_reserved[pipe] > dispatch:
+                dispatch = pipe_reserved[pipe]
+            for slot in scalar_reads:
+                if ready[slot] > dispatch:
+                    dispatch = ready[slot]
+            issue_clock = start = dispatch + x
+            # element streaming start
+            if pipe_input[pipe] > start:
+                start = pipe_input[pipe]
+            if has_mem and port_free > start:
+                start = port_free
             # Chained consumers start on the producer's first element;
             # without chaining they wait for the full stream to land.
-            constraints.append(stream.first if chaining else stream.end)
-            source_streams.append(stream)
-        dest = d.dest_reg
-        if d.dest_is_vector:
-            # WAR: the writer's elements chase the reader's — element i
-            # is overwritten at start + Y + i*rate and must land after
-            # the reader consumed it at reader_start + i*reader_rate.
-            # Chasing is only safe when the writer is no faster than the
-            # reader; otherwise wait for the reader to start and add its
-            # full sweep via the strict constraint.
-            reader_start, reader_rate = state.vector_last_read[dest.index]
-            if rate >= reader_rate:
-                constraints.append(reader_start - timing.y + 1.0)
-            else:
-                constraints.append(reader_start + vl * reader_rate)
-            # WAW: preserve element write ordering.
-            constraints.append(
-                state.vector_streams[dest.index].first - timing.y
-            )
-        start = max(constraints)
-        if self.config.bubbles_enabled:
-            start += timing.b
-
-        # --- rate coupling with still-streaming producers ---------------
-        for stream in source_streams:
-            if stream.streaming_at(start):
-                rate = max(rate, stream.rate)
-
-        stream_span = timing.effective_vl(vl) * rate
-        if has_mem:
-            stall = self.memory.refresh_stall_for_stream(
-                start, start + stream_span
-            )
-            if stall:
-                # Spread the stall across the stream so chained
-                # consumers (which adopt the producer's rate) inherit
-                # the refresh delay too.
-                stream_span += stall
-                rate = stream_span / vl
-        first_result = start + timing.y
-        complete = first_result + stream_span
-
-        # --- state updates ----------------------------------------------
-        state.pipe_input_free[pipe] = start + stream_span
-        state.pipe_reservation_free[pipe] = start
-        if has_mem:
-            state.memory_port_free = start + stream_span
-        for idx in d.vector_read_idxs:
-            previous_start, _ = state.vector_last_read[idx]
-            if start >= previous_start:
-                state.vector_last_read[idx] = (start, rate)
-        if dest is not None:
-            if d.dest_is_vector:
-                state.vector_streams[dest.index] = VectorStream(
-                    first=first_result, rate=rate, end=complete
-                )
-            else:  # reduction writes a scalar when all elements are in
-                state.set_scalar_ready(dest, complete)
-        state.last_complete = max(state.last_complete, complete)
-        if not record:
-            return None
-        return InstructionTiming(
-            pc, d.instr, dispatch, start, first_result, complete, vl, pipe
-        )
-
-    # ------------------------------------------------------------------
-    # Scalar instructions
-    # ------------------------------------------------------------------
-
-    def time_scalar_decoded(
-        self, state: PipelineState, d: DecodedInstruction, pc: int,
-        branch_taken: bool = False,
-        word_address: int | None = None,
-        record: bool = True,
-    ) -> InstructionTiming | None:
-        operand_ready = self._scalar_operand_ready(state, d)
-        # Reading a vector register scalar-wise (not modelled) is an error.
-        if d.is_branch:
-            operand_ready = max(operand_ready, state.flag_ready)
-        dispatch = max(state.issue_clock, operand_ready)
-        issue = self.config.scalar_issue_cycles
-
-        if d.touches_memory:
-            # The single CPU<->memory port: wait for any vector stream
-            # to drain, then take a one-cycle access slot (this is what
-            # terminates chimes at scalar memory references, §3.3).
-            start = max(dispatch, state.memory_port_free)
-            start = self.memory.stall_scalar_access(start)
-            state.memory_port_free = start + 1.0
-            if d.mnemonic == "ld":
-                complete = start + self._scalar_load_latency(
-                    state, word_address
-                )
-            else:
-                if state.scalar_cache is not None and \
-                        word_address is not None:
-                    state.scalar_cache.store(word_address)
-                complete = start + 1.0
-            state.issue_clock = start + issue
+            for v in reads:
+                t = stream_first[v] if chaining else stream_end[v]
+                if t > start:
+                    start = t
+            if dest_v >= 0:
+                # WAR: the writer's elements chase the reader's —
+                # element i is overwritten at start + Y + i*rate and
+                # must land after the reader consumed it at
+                # reader_start + i*reader_rate.  Chasing is only safe
+                # when the writer is no faster than the reader;
+                # otherwise wait for the reader to start and add its
+                # full sweep.
+                if rate >= read_rate[dest_v]:
+                    t = read_start[dest_v] - y + 1.0
+                else:
+                    t = read_start[dest_v] + vl * read_rate[dest_v]
+                if t > start:
+                    start = t
+                # WAW: preserve element write ordering.
+                t = stream_first[dest_v] - y
+                if t > start:
+                    start = t
+            start += b
+            # rate coupling with still-streaming producers
+            for v in reads:
+                if start < stream_end[v] and stream_rate[v] > rate:
+                    rate = stream_rate[v]
+            span = (vl if vl >= vl_floor else vl_floor) * rate
+            if has_mem and refresh:
+                stall = refresh_stall(start, start + span)
+                if stall:
+                    # Spread the stall across the stream so chained
+                    # consumers (which adopt the producer's rate)
+                    # inherit the refresh delay too.
+                    span += stall
+                    rate = span / vl
+            first_result = start + y
+            complete = first_result + span
+            # state updates
+            pipe_input[pipe] = start + span
+            pipe_reserved[pipe] = start
+            if has_mem:
+                port_free = start + span
+                vector_memory += 1
+            for v in reads:
+                if start >= read_start[v]:
+                    read_start[v] = start
+                    read_rate[v] = rate
+            if dest_v >= 0:
+                stream_first[dest_v] = first_result
+                stream_rate[dest_v] = rate
+                stream_end[dest_v] = complete
+            elif dest_s >= 0:
+                # a reduction writes a scalar when all elements are in
+                ready[dest_s] = complete
+            if complete > last_complete:
+                last_complete = complete
+            vector_count += 1
+            flops += flop_count * vl
+            if record_trace:
+                trace.append(InstructionTiming(
+                    pc, instr, dispatch, start, first_result, complete,
+                    vl, _PIPES[pipe],
+                ))
         else:
-            start = dispatch
-            complete = dispatch + issue
-            state.issue_clock = complete
-            if branch_taken:
-                state.issue_clock += self.config.branch_taken_penalty
+            (scalar_reads, scalar_writes, is_branch, is_compare,
+             memory_kind, base_idx, offset, instr) = scalar
+            dispatch = issue_clock
+            for slot in scalar_reads:
+                if ready[slot] > dispatch:
+                    dispatch = ready[slot]
+            if is_branch and flag_ready > dispatch:
+                dispatch = flag_ready
+            if memory_kind:
+                # The single CPU<->memory port: wait for any vector
+                # stream to drain, then take a one-cycle access slot
+                # (this is what terminates chimes at scalar memory
+                # references, §3.3).
+                start = dispatch if dispatch >= port_free else port_free
+                if refresh:
+                    start = stall_scalar_access(start)
+                port_free = start + 1.0
+                if memory_kind == _STORE:
+                    complete = start + 1.0
+                elif cache is None:
+                    complete = start + load_latency
+                else:
+                    # Vector streams bypass the cache (paper §2), so
+                    # only scalar loads consult it.
+                    word = (int(registers.a[base_idx]) + offset) // 8
+                    complete = start + (
+                        hit_latency if cache.load(word) else miss_latency
+                    )
+                issue_clock = start + issue
+                scalar_memory += 1
+            else:
+                start = dispatch
+                complete = dispatch + issue
+                issue_clock = complete
+                if taken:
+                    issue_clock += branch_penalty
+            if is_compare:
+                flag_ready = complete
+            for slot in scalar_writes:
+                ready[slot] = complete
+            if complete > last_complete:
+                last_complete = complete
+            scalar_count += 1
+            if record_trace:
+                trace.append(InstructionTiming(
+                    pc, instr, dispatch, start, complete, complete,
+                    vl=0, pipe=None,
+                ))
+        executed += 1
+        pc = target_pc if taken else pc + 1
 
-        if d.is_compare:
-            state.flag_ready = complete
-        for reg in d.scalar_writes:
-            state.set_scalar_ready(reg, complete)
-        state.last_complete = max(state.last_complete, complete)
-        if not record:
-            return None
-        return InstructionTiming(
-            pc, d.instr, dispatch, start, complete, complete,
-            vl=0, pipe=None,
-        )
-
-    def _scalar_load_latency(
-        self, state: PipelineState, word_address: int | None
-    ) -> float:
-        """Flat latency, or hit/miss through the explicit cache model.
-
-        Vector streams bypass the cache entirely (paper §2), so only
-        this scalar path consults it.
-        """
-        cache = state.scalar_cache
-        if cache is None or word_address is None:
-            return float(self.config.scalar_load_latency)
-        if cache.load(word_address):
-            return float(self.config.scalar_cache_hit_latency)
-        return float(self.config.scalar_cache_miss_latency)
+    # when everything in flight has drained
+    cycles = max(issue_clock, last_complete, port_free, *pipe_input)
+    if cycle_budget is not None:
+        watchdog.check_cycles(cycles, cycle_budget, name)
+    return RunTotals(
+        cycles=cycles,
+        instructions_executed=executed,
+        vector_instructions=vector_count,
+        scalar_instructions=scalar_count,
+        vector_memory_ops=vector_memory,
+        scalar_memory_ops=scalar_memory,
+        flops=flops,
+        trace=trace,
+        scalar_cache=cache.stats if cache is not None else None,
+    )

@@ -13,6 +13,10 @@ outcome (taken target label or None).
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
+from typing import Any
+
 import numpy as np
 
 from ..errors import SimulationError
@@ -213,10 +217,11 @@ def execute_instruction(
 # That is fine for analysis passes but dominates the simulator's inner
 # loop, which re-reads the same metadata millions of times.
 # :func:`decode_program` precomputes it once per program into plain
-# attribute records; :func:`execute_decoded` then applies exactly the
-# same value semantics as :func:`execute_instruction` — the float
-# operations and conversions are mirrored operation for operation, so
-# the two paths are bit-for-bit identical.
+# attribute records; :func:`lower_step` then turns each record into a
+# closure bound to one run's register file and memory that applies
+# exactly the same value semantics as :func:`execute_instruction` — the
+# float operations and conversions are mirrored operation for
+# operation, so the two paths are bit-for-bit identical.
 
 #: Execution dispatch tags.
 T_LD_V = 0
@@ -260,7 +265,7 @@ class DecodedInstruction:
     __slots__ = (
         "instr", "mnemonic", "tag",
         # classification (mirrors the Instruction properties)
-        "is_vector", "is_vector_memory", "is_scalar_memory",
+        "is_vector", "is_scalar_memory",
         "touches_memory", "is_branch", "is_compare", "flop_count",
         "timing_key", "pipe", "scalar_reads", "scalar_writes",
         "vector_read_idxs", "dest_reg", "dest_is_vector", "mem_stride",
@@ -276,7 +281,6 @@ class DecodedInstruction:
         self.mnemonic = instr.mnemonic
         self.tag = T_LEGACY
         self.is_vector = instr.is_vector
-        self.is_vector_memory = instr.is_vector_memory
         self.is_scalar_memory = instr.is_scalar_memory
         self.touches_memory = instr.touches_memory
         self.is_branch = instr.is_branch
@@ -350,47 +354,6 @@ def _dest_spec(register: Register):
     if cls is RegisterClass.VECTOR_STRIDE:
         return (K_VS, 0)
     return None
-
-
-def fetch_scalar(spec, regfile: RegisterFile):
-    """Raw scalar operand value (mirror of ``_scalar_value``)."""
-    kind, payload = spec
-    if kind == K_IMM:
-        return payload
-    if kind == K_A:
-        return int(regfile.a[payload])
-    if kind == K_S:
-        return float(regfile.s[payload])
-    if kind == K_VL:
-        return regfile.vl
-    return regfile.vs
-
-
-def _fetch_float(spec, regfile: RegisterFile) -> float:
-    """Floated scalar ALU operand (mirror of ``_vector_or_scalar``)."""
-    kind, payload = spec
-    if kind == K_IMM:
-        return payload  # pre-floated at decode time
-    if kind == K_A:
-        return float(regfile.a[payload])
-    if kind == K_S:
-        return float(regfile.s[payload])
-    if kind == K_VL:
-        return float(regfile.vl)
-    return float(regfile.vs)
-
-
-def write_scalar(spec, regfile: RegisterFile, value) -> None:
-    """Scalar register write (mirror of ``RegisterFile.write``)."""
-    kind, payload = spec
-    if kind == K_A:
-        regfile.a[payload] = int(value)
-    elif kind == K_S:
-        regfile.s[payload] = float(value)
-    elif kind == K_VL:
-        regfile.vl = max(0, min(int(value), regfile.max_vl))
-    else:
-        regfile.vs = int(value)
 
 
 def _decode_memory(d: DecodedInstruction, instr: Instruction,
@@ -580,116 +543,253 @@ def decode_program(program) -> tuple[DecodedInstruction, ...]:
     return decoded
 
 
-def execute_decoded(
+# ======================================================================
+# Lowered execution: one closure per instruction
+# ======================================================================
+
+_UFUNCS = {OP_ADD: np.add, OP_SUB: np.subtract, OP_MUL: np.multiply,
+           OP_DIV: np.divide}
+_PY_OPS = {OP_ADD: operator.add, OP_SUB: operator.sub,
+           OP_MUL: operator.mul, OP_DIV: operator.truediv}
+_CMP_FNS = {CMP_LT: operator.lt, CMP_LE: operator.le, CMP_EQ: operator.eq}
+
+
+def _getter(spec, regfile: RegisterFile) -> Callable[[], Any]:
+    """Raw scalar operand fetch (mirror of ``_scalar_value``)."""
+    kind, payload = spec
+    if kind == K_IMM:
+        return lambda: payload
+    if kind == K_A:
+        a = regfile.a
+        return lambda: int(a[payload])
+    if kind == K_S:
+        s = regfile.s
+        return lambda: float(s[payload])
+    if kind == K_VL:
+        return lambda: regfile.vl
+    return lambda: regfile.vs
+
+
+def _float_getter(spec, regfile: RegisterFile) -> Callable[[], float]:
+    """Floated scalar ALU operand (mirror of ``_vector_or_scalar``)."""
+    kind, payload = spec
+    if kind == K_IMM:
+        return lambda: payload  # pre-floated at decode time
+    if kind == K_A:
+        a = regfile.a
+        return lambda: float(a[payload])
+    if kind == K_S:
+        s = regfile.s
+        return lambda: float(s[payload])
+    if kind == K_VL:
+        return lambda: float(regfile.vl)
+    return lambda: float(regfile.vs)
+
+
+def _setter(spec, regfile: RegisterFile) -> Callable[[Any], None]:
+    """Scalar register write (mirror of ``RegisterFile.write``)."""
+    kind, payload = spec
+    if kind == K_A:
+        a = regfile.a
+
+        def put(value):
+            a[payload] = int(value)
+    elif kind == K_S:
+        s = regfile.s
+
+        def put(value):
+            s[payload] = float(value)
+    elif kind == K_VL:
+        max_vl = regfile.max_vl
+
+        def put(value):
+            regfile.vl = max(0, min(int(value), max_vl))
+    else:
+        def put(value):
+            regfile.vs = int(value)
+    return put
+
+
+def _operand(spec, regfile: RegisterFile) -> Callable[[], Any]:
+    """ALU input: active vector elements, or a floated scalar."""
+    if spec[0] == "v":
+        v, index = regfile.v, spec[1]
+        return lambda: v[index, : regfile.vl]
+    return _float_getter(spec, regfile)
+
+
+def _lower_alu(d: DecodedInstruction, regfile: RegisterFile):
+    """Step for ``T_ALU``: Python float arithmetic when both operands
+    are scalars (as ``_alu`` does on them), a NumPy ufunc writing into
+    the destination register otherwise."""
+    v = regfile.v
+    lhs_spec, rhs_spec = d.lhs_spec, d.rhs_spec
+    dest = d.dest_vec_idx
+    if d.alu_scalar_result:
+        op = _PY_OPS[d.alu_op]
+        get_lhs = _float_getter(lhs_spec, regfile)
+        get_rhs = _float_getter(rhs_spec, regfile)
+        if dest is not None:
+            def step():
+                vl = regfile.vl
+                v[dest, :vl] = np.full(vl, float(op(get_lhs(), get_rhs())))
+                return False
+        else:
+            put = _setter(d.dest_spec, regfile)
+
+            def step():
+                put(float(op(get_lhs(), get_rhs())))
+                return False
+        return step
+    if dest is None:
+        # a vector operand into a scalar register: element 0 survives
+        op = _PY_OPS[d.alu_op]
+        put = _setter(d.dest_spec, regfile)
+        get_lhs = _operand(lhs_spec, regfile)
+        get_rhs = _operand(rhs_spec, regfile)
+
+        def step():
+            put(float(np.asarray(op(get_lhs(), get_rhs())).flat[0]))
+            return False
+        return step
+    ufunc = _UFUNCS[d.alu_op]
+    if lhs_spec[0] == "v" and rhs_spec[0] == "v":
+        lhs, rhs = lhs_spec[1], rhs_spec[1]
+
+        def step():
+            vl = regfile.vl
+            ufunc(v[lhs, :vl], v[rhs, :vl], out=v[dest, :vl])
+            return False
+    elif rhs_spec[0] == "v":
+        get_lhs = _float_getter(lhs_spec, regfile)
+        rhs = rhs_spec[1]
+
+        def step():
+            vl = regfile.vl
+            ufunc(get_lhs(), v[rhs, :vl], out=v[dest, :vl])
+            return False
+    else:
+        lhs = lhs_spec[1]
+        get_rhs = _float_getter(rhs_spec, regfile)
+
+        def step():
+            vl = regfile.vl
+            ufunc(v[lhs, :vl], get_rhs(), out=v[dest, :vl])
+            return False
+    return step
+
+
+def lower_step(
     d: DecodedInstruction,
     regfile: RegisterFile,
     memory: MemorySystem,
     layout: DataLayout,
-) -> bool:
-    """Apply one decoded instruction; return True when a branch is taken.
+) -> Callable[[], bool]:
+    """A closure applying ``d`` to ``regfile``/``memory``; it returns
+    True when a branch is taken.
 
     Value-for-value mirror of :func:`execute_instruction` — every float
     operation and int/float conversion happens in the same order on the
     same Python/NumPy types, so results are bit-for-bit identical.
     """
     tag = d.tag
+    v, a = regfile.v, regfile.a
     if tag == T_ALU:
-        lhs_spec = d.lhs_spec
-        lhs = (
-            regfile.v[lhs_spec[1], : regfile.vl]
-            if lhs_spec[0] == "v" else _fetch_float(lhs_spec, regfile)
-        )
-        rhs_spec = d.rhs_spec
-        rhs = (
-            regfile.v[rhs_spec[1], : regfile.vl]
-            if rhs_spec[0] == "v" else _fetch_float(rhs_spec, regfile)
-        )
-        op = d.alu_op
-        if op == OP_ADD:
-            result = lhs + rhs
-        elif op == OP_SUB:
-            result = lhs - rhs
-        elif op == OP_MUL:
-            result = lhs * rhs
-        else:
-            result = lhs / rhs
-        if d.dest_vec_idx is not None:
-            vl = regfile.vl
-            if d.alu_scalar_result:
-                regfile.v[d.dest_vec_idx, :vl] = np.full(vl, float(result))
-            else:
-                regfile.v[d.dest_vec_idx, :vl] = result
-        else:
-            write_scalar(
-                d.dest_spec, regfile,
-                float(result) if d.alu_scalar_result
-                else float(np.asarray(result).flat[0]),
-            )
-        return False
+        return _lower_alu(d, regfile)
     if tag == T_LD_V:
-        address = int(regfile.a[d.base_idx]) + d.offset
-        vl = regfile.vl
-        regfile.v[d.dest_vec_idx, :vl] = memory.read_vector(
-            address, d.stride, vl
-        )
-        return False
+        base, offset, stride, dest = d.base_idx, d.offset, d.stride, \
+            d.dest_vec_idx
+        read_vector = memory.read_vector
+
+        def step():
+            vl = regfile.vl
+            v[dest, :vl] = read_vector(int(a[base]) + offset, stride, vl)
+            return False
+        return step
     if tag == T_ST_V:
-        address = int(regfile.a[d.base_idx]) + d.offset
-        memory.write_vector(
-            address, d.stride, regfile.v[d.src_vec_idx, : regfile.vl]
-        )
-        return False
+        base, offset, stride, src = d.base_idx, d.offset, d.stride, \
+            d.src_vec_idx
+        write_vector = memory.write_vector
+
+        def step():
+            write_vector(int(a[base]) + offset, stride, v[src, : regfile.vl])
+            return False
+        return step
     if tag == T_LD_S:
-        address = int(regfile.a[d.base_idx]) + d.offset
-        write_scalar(d.dest_spec, regfile, memory.read_word(address))
-        return False
+        base, offset = d.base_idx, d.offset
+        read_word = memory.read_word
+        put = _setter(d.dest_spec, regfile)
+
+        def step():
+            put(read_word(int(a[base]) + offset))
+            return False
+        return step
     if tag == T_ST_S:
-        address = int(regfile.a[d.base_idx]) + d.offset
-        memory.write_word(
-            address, float(fetch_scalar(d.src_spec, regfile))
-        )
-        return False
+        base, offset = d.base_idx, d.offset
+        write_word = memory.write_word
+        get = _getter(d.src_spec, regfile)
+
+        def step():
+            write_word(int(a[base]) + offset, float(get()))
+            return False
+        return step
     if tag == T_MOV:
-        write_scalar(
-            d.dest_spec, regfile, fetch_scalar(d.src_spec, regfile)
-        )
-        return False
+        put = _setter(d.dest_spec, regfile)
+        get = _getter(d.src_spec, regfile)
+
+        def step():
+            put(get())
+            return False
+        return step
     if tag == T_CMP:
-        lhs = fetch_scalar(d.lhs_spec, regfile)
-        rhs = fetch_scalar(d.rhs_spec, regfile)
-        op = d.cmp_op
-        if op == CMP_LT:
-            regfile.flag = lhs < rhs
-        elif op == CMP_LE:
-            regfile.flag = lhs <= rhs
-        else:
-            regfile.flag = lhs == rhs
-        return False
+        compare = _CMP_FNS[d.cmp_op]
+        get_lhs = _getter(d.lhs_spec, regfile)
+        get_rhs = _getter(d.rhs_spec, regfile)
+
+        def step():
+            regfile.flag = compare(get_lhs(), get_rhs())
+            return False
+        return step
     if tag == T_BRS:
-        return regfile.flag if d.branch_sense else not regfile.flag
+        if d.branch_sense:
+            return lambda: regfile.flag
+        return lambda: not regfile.flag
     if tag == T_BR:
-        return True
+        return lambda: True
     if tag == T_SUM:
-        regfile.s[d.dest_spec[1]] = float(
-            regfile.v[d.src_vec_idx, : regfile.vl].sum()
-        )
-        return False
+        s, dest, src = regfile.s, d.dest_spec[1], d.src_vec_idx
+
+        def step():
+            s[dest] = float(v[src, : regfile.vl].sum())
+            return False
+        return step
     if tag == T_MOV_VV:
-        vl = regfile.vl
-        regfile.v[d.dest_vec_idx, :vl] = regfile.v[
-            d.src_vec_idx, :vl
-        ].copy()
-        return False
+        dest, src = d.dest_vec_idx, d.src_vec_idx
+
+        def step():
+            vl = regfile.vl
+            v[dest, :vl] = v[src, :vl]
+            return False
+        return step
     if tag == T_NEG_V:
-        vl = regfile.vl
-        regfile.v[d.dest_vec_idx, :vl] = -regfile.v[d.src_vec_idx, :vl]
-        return False
+        dest, src = d.dest_vec_idx, d.src_vec_idx
+
+        def step():
+            vl = regfile.vl
+            np.negative(v[src, :vl], out=v[dest, :vl])
+            return False
+        return step
     if tag == T_NEG_S:
-        write_scalar(
-            d.dest_spec, regfile,
-            -fetch_scalar(d.src_spec, regfile),
-        )
-        return False
+        put = _setter(d.dest_spec, regfile)
+        get = _getter(d.src_spec, regfile)
+
+        def step():
+            put(-get())
+            return False
+        return step
     # Fallback: the reference interpreter (also raises the proper
     # errors for malformed instructions).
-    return execute_instruction(d.instr, regfile, memory, layout) is not None
+    instr = d.instr
+    return lambda: (
+        execute_instruction(instr, regfile, memory, layout) is not None
+    )

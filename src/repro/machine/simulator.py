@@ -1,9 +1,11 @@
 """The Convex C-240 CPU simulator.
 
 Couples the functional semantics (:mod:`repro.machine.semantics`) with
-the timing model (:mod:`repro.machine.pipeline`): every executed
-instruction both updates architectural state and advances the pipeline
-clocks, so one run yields verified output values *and* a cycle count.
+the timing model (:mod:`repro.machine.pipeline`): each run lowers the
+program once into per-instruction value closures and timing records,
+and the pipeline's run loop executes every instruction for its values
+and its clocks, so one run yields verified output values *and* a cycle
+count.
 
 This plays the role of the physical C-240 in the paper's methodology:
 ``t_p`` / ``t_a`` / ``t_x`` measurements and the calibration loops of
@@ -19,13 +21,12 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..isa.program import Program
-from ..resilience import watchdog
 from ..sweep import telemetry
 from .cache import CacheStats
 from .config import DEFAULT_CONFIG, MachineConfig
 from .memory import MemorySystem
-from .pipeline import InstructionTiming, PipelineState, TimingModel
-from .semantics import decode_program, execute_decoded
+from .pipeline import InstructionTiming, lower, run_lowered
+from .semantics import decode_program, lower_step
 from .state import RegisterFile
 
 #: Default runaway guard (instruction executions, not cycles).
@@ -128,97 +129,45 @@ class Simulator:
         regfile = self.regfile
         memory = self.memory
         layout = program.layout
-        state = PipelineState(self.config)
-        model = TimingModel(self.config, memory)
         decoded = decode_program(program)
-        timings = self.config.timings
-        vtimings = tuple(
-            timings.lookup(d.timing_key) if d.is_vector else None
-            for d in decoded
+        lowered = lower(
+            decoded,
+            [lower_step(d, regfile, memory, layout) for d in decoded],
+            self.config,
+            memory,
         )
-
-        trace: list[InstructionTiming] = []
-        executed = 0
-        vector_count = 0
-        scalar_count = 0
-        vector_memory = 0
-        scalar_memory = 0
-        flops = 0
-        pc = 0
-        n_instructions = len(program)
-        cache = state.scalar_cache
-        cycle_budget = self.config.cycle_budget
-
         # A/X-transformed code computes on nonsense values by design
         # (§3.6); suppress IEEE warnings for the whole run.
         with np.errstate(all="ignore"):
-            while 0 <= pc < n_instructions:
-                if executed >= max_instructions:
-                    watchdog.check_instructions(
-                        executed, max_instructions, program.name
-                    )
-                if cycle_budget is not None:
-                    watchdog.check_cycles(
-                        state.issue_clock, cycle_budget, program.name
-                    )
-                d = decoded[pc]
-                taken = execute_decoded(d, regfile, memory, layout)
-                if d.is_vector:
-                    timing = model.time_vector_decoded(
-                        state, d, vtimings[pc], pc, regfile.vl,
-                        record=record_trace,
-                    )
-                    vector_count += 1
-                    if d.is_vector_memory:
-                        vector_memory += 1
-                    flops += d.flop_count * regfile.vl
-                else:
-                    word_address = None
-                    if d.is_scalar_memory:
-                        scalar_memory += 1
-                        if cache is not None:
-                            word_address = (
-                                int(regfile.a[d.base_idx]) + d.offset
-                            ) // 8
-                    timing = model.time_scalar_decoded(
-                        state, d, pc,
-                        branch_taken=taken,
-                        word_address=word_address,
-                        record=record_trace,
-                    )
-                    scalar_count += 1
-                if record_trace:
-                    trace.append(timing)
-                executed += 1
-                pc = d.target_pc if taken else pc + 1
+            totals = run_lowered(
+                program.name, lowered, regfile, self.config, memory,
+                max_instructions, record_trace,
+            )
 
         if telemetry.current() is not None:
             telemetry.record_counters(
                 {
                     "runs": 1,
-                    "cycles": state.finish_time(),
-                    "instructions": executed,
-                    "vector_instructions": vector_count,
-                    "scalar_instructions": scalar_count,
-                    "vector_memory_ops": vector_memory,
-                    "scalar_memory_ops": scalar_memory,
-                    "flops": flops,
+                    "cycles": totals.cycles,
+                    "instructions": totals.instructions_executed,
+                    "vector_instructions": totals.vector_instructions,
+                    "scalar_instructions": totals.scalar_instructions,
+                    "vector_memory_ops": totals.vector_memory_ops,
+                    "scalar_memory_ops": totals.scalar_memory_ops,
+                    "flops": totals.flops,
                 }
             )
         return SimulationResult(
             program_name=program.name,
-            cycles=state.finish_time(),
-            instructions_executed=executed,
-            vector_instructions=vector_count,
-            scalar_instructions=scalar_count,
-            vector_memory_ops=vector_memory,
-            scalar_memory_ops=scalar_memory,
-            flops=flops,
-            trace=trace,
-            scalar_cache=(
-                state.scalar_cache.stats
-                if state.scalar_cache is not None else None
-            ),
+            cycles=totals.cycles,
+            instructions_executed=totals.instructions_executed,
+            vector_instructions=totals.vector_instructions,
+            scalar_instructions=totals.scalar_instructions,
+            vector_memory_ops=totals.vector_memory_ops,
+            scalar_memory_ops=totals.scalar_memory_ops,
+            flops=totals.flops,
+            trace=totals.trace,
+            scalar_cache=totals.scalar_cache,
             clock_period_ns=self.config.clock_period_ns,
         )
 

@@ -6,8 +6,8 @@ counters are stored as exact integer-valued floats), the eight
 128-element vector registers, the VL / VS special registers, and the
 test flag set by compare instructions.
 
-Timing state (when each value becomes *available*) lives separately in
-:class:`repro.machine.pipeline.PipelineState`.
+Timing state (when each value becomes *available*) lives separately, in
+the flat per-run lists of :func:`repro.machine.pipeline.run_lowered`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Fields:
 
 * ``site`` — where to inject.  Instrumented sites: ``store.append``,
   ``store.atomic_write``, ``trace.write`` (telemetry),
-  ``static.predict`` (static-tier clocks), ``clock`` (wall-clock skew,
+  ``static.predict`` (static-tier cycles), ``clock`` (wall-clock skew,
   seconds), ``worker`` (sweep worker processes), ``service.accept``
   (analysis-server connections dropped at accept), and
   ``service.cache_write`` (analysis-server durable cache appends

@@ -56,6 +56,43 @@ class TestExactTier:
         assert prediction.exact
         assert prediction.cycles == result.cycles
 
+    @pytest.mark.parametrize(
+        "name,budget",
+        [("lfk1", 4050.0), ("lfk1", 4249.0), ("lfk7", 10861.0),
+         ("lfk12", 3154.0)],
+    )
+    def test_cycle_budget_covers_the_final_drain(self, name, budget):
+        from repro.errors import BudgetExceededError
+
+        with pytest.raises(BudgetExceededError) as excinfo:
+            predict_spec(name, DEFAULT_CONFIG.with_cycle_budget(budget))
+        assert excinfo.value.budget == "cycles"
+        assert excinfo.value.limit == budget
+
+    @pytest.mark.parametrize("name", ["lfk1", "lfk7", "lfk12"])
+    def test_cycle_budget_equal_to_the_finish_passes(self, name):
+        _spec, _compiled, unbounded = predict_spec(name)
+        _spec, _compiled, prediction = predict_spec(
+            name, DEFAULT_CONFIG.with_cycle_budget(unbounded.cycles)
+        )
+        assert prediction.exact
+        assert prediction.cycles == unbounded.cycles
+
+    def test_chaos_skew_adds_to_the_cycles(self):
+        from repro.resilience.faults import FaultPlan, FaultSpec, chaos
+
+        _spec, _compiled, clean = predict_spec("lfk1")
+        plan = FaultPlan(faults=(
+            FaultSpec(site="static.predict", kind="skew", value=37.0),
+        ))
+        with chaos(plan):
+            _spec, _compiled, skewed = predict_spec("lfk1")
+        assert skewed.cycles == clean.cycles + 37.0
+        assert (skewed.cycles_low, skewed.cycles_high) == \
+            (skewed.cycles, skewed.cycles)
+        assert skewed.tier == clean.tier == "exact"
+        assert skewed.counters() == clean.counters()
+
     def test_to_dict_carries_the_counter_schema(self):
         _spec, _compiled, prediction = predict_spec("lfk3")
         payload = prediction.to_dict()

@@ -47,6 +47,76 @@ class TestFunctionalStorage:
         with pytest.raises(MemoryError_):
             make_memory(16).read_vector(8, -1, 5)
 
+    @pytest.mark.parametrize("stride", [1, 3, -2, 0])
+    def test_strided_read_matches_indexing(self, stride):
+        mem = make_memory(64)
+        mem.load_array(0, np.arange(64, dtype=float) + 0.5)
+        start = 30
+        expected = (np.arange(64) + 0.5)[start + stride * np.arange(6)]
+        got = mem.read_vector(8 * start, stride, 6)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("stride", [1, 3, -2])
+    def test_strided_write_touches_only_its_words(self, stride):
+        mem = make_memory(64)
+        values = np.arange(6, dtype=float) + 100.0
+        mem.write_vector(8 * 30, stride, values)
+        expected = np.zeros(64)
+        expected[30 + stride * np.arange(6)] = values
+        assert np.array_equal(mem.dump_array(0, 64), expected)
+
+    def test_stride_zero_read_broadcasts(self):
+        mem = make_memory(16)
+        mem.write_word(8 * 5, 7.25)
+        assert list(mem.read_vector(8 * 5, 0, 4)) == [7.25] * 4
+
+    def test_stride_zero_write_keeps_the_last_value(self):
+        mem = make_memory(16)
+        mem.write_vector(8 * 5, 0, np.array([1.0, 2.0, 3.0]))
+        assert mem.read_word(8 * 5) == 3.0
+        assert mem.dump_array(0, 16).sum() == 3.0
+
+    def test_read_vector_returns_a_copy(self):
+        mem = make_memory(16)
+        mem.load_array(0, np.arange(16, dtype=float))
+        got = mem.read_vector(0, 1, 8)
+        got[:] = -1.0
+        assert list(mem.read_vector(0, 1, 8)) == list(range(8))
+
+    @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+    @pytest.mark.parametrize(
+        "start,stride,count",
+        [
+            (0, 4, 5),     # overrun past the high end
+            (15, 1, 2),    # overrun by one word
+            (8, -1, 10),   # underrun below word 0
+            (4, -3, 3),    # underrun by a stride
+            (16, 1, 1),    # first word already past the end
+        ],
+    )
+    def test_out_of_bounds_access_rejected(self, write, start, stride,
+                                           count):
+        mem = make_memory(16)
+        mem.load_array(0, np.arange(16, dtype=float))
+        with pytest.raises(MemoryError_):
+            if write:
+                mem.write_vector(8 * start, stride, np.ones(count))
+            else:
+                mem.read_vector(8 * start, stride, count)
+        assert list(mem.dump_array(0, 16)) == list(range(16))
+
+    @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+    @pytest.mark.parametrize(
+        "start,stride,count", [(0, 1, 16), (15, -1, 16), (0, 5, 4)]
+    )
+    def test_access_touching_both_ends_accepted(self, write, start,
+                                                stride, count):
+        mem = make_memory(16)
+        if write:
+            mem.write_vector(8 * start, stride, np.ones(count))
+        else:
+            assert len(mem.read_vector(8 * start, stride, count)) == count
+
     def test_load_and_dump_array(self):
         mem = make_memory()
         mem.load_array(10, np.array([1.0, 2.0, 3.0]))

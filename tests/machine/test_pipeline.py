@@ -203,3 +203,29 @@ class TestRunawayGuard:
             sim.run()
         assert excinfo.value.budget == "cycles"
         assert excinfo.value.limit == 50.0
+
+    @pytest.mark.parametrize(
+        "name,budget",
+        [("lfk1", 4050.0), ("lfk1", 4249.0), ("lfk7", 10861.0),
+         ("lfk12", 3154.0)],
+    )
+    def test_cycle_budget_covers_the_final_drain(self, name, budget):
+        """The issue clock stays under these budgets; only the last
+        streams' drain crosses them."""
+        from repro.errors import BudgetExceededError
+        from repro.workloads import run_kernel
+
+        config = MachineConfig().with_cycle_budget(budget)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            run_kernel(name, config=config)
+        assert excinfo.value.budget == "cycles"
+        assert excinfo.value.limit == budget
+        assert excinfo.value.spent > budget
+
+    @pytest.mark.parametrize("name", ["lfk1", "lfk7", "lfk12"])
+    def test_cycle_budget_equal_to_the_finish_passes(self, name):
+        from repro.workloads import run_kernel
+
+        cycles = run_kernel(name).result.cycles
+        config = MachineConfig().with_cycle_budget(cycles)
+        assert run_kernel(name, config=config).result.cycles == cycles
