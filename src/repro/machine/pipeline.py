@@ -43,8 +43,8 @@ walker (:mod:`repro.analysis.staticpred`) with abstract ones.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from typing import Any, Protocol
+from dataclasses import dataclass
+from typing import Any
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, Pipe
@@ -127,7 +127,6 @@ def lower(
         scalar_reads = tuple(_scalar_slot(r) for r in d.scalar_reads)
         if d.is_vector:
             timing = timings.lookup(d.timing_key)
-            assert d.pipe is not None
             rate = timing.z
             has_mem = d.mem_stride is not None
             if has_mem:
@@ -160,15 +159,6 @@ def lower(
     return tuple(records)
 
 
-class Registers(Protocol):
-    """What the run loop reads of the register state its steps
-    update: the vector length, and address registers for the
-    scalar-cache model."""
-
-    vl: int
-    a: Any
-
-
 @dataclass
 class RunTotals:
     """What one run of :func:`run_lowered` measured."""
@@ -180,15 +170,15 @@ class RunTotals:
     vector_memory_ops: int
     scalar_memory_ops: int
     flops: int
-    trace: list[InstructionTiming] = field(default_factory=list)
+    trace: list[InstructionTiming]
     #: populated when the scalar-cache model is enabled
-    scalar_cache: CacheStats | None = None
+    scalar_cache: CacheStats | None
 
 
 def run_lowered(
     name: str,
     lowered: Sequence[Lowered],
-    registers: Registers,
+    registers: Any,
     config: MachineConfig,
     memory: MemorySystem,
     max_instructions: int,
@@ -196,6 +186,10 @@ def run_lowered(
 ) -> RunTotals:
     """Step and time the lowered program from pc 0 until control falls
     off either end.
+
+    ``registers`` is the register state the steps update; the loop
+    reads its ``vl`` and, for the scalar-cache model, its address
+    registers ``a``.
 
     Raises :class:`~repro.errors.BudgetExceededError` when
     ``max_instructions`` or the config's ``cycle_budget`` is exhausted

@@ -619,62 +619,35 @@ def _operand(spec, regfile: RegisterFile) -> Callable[[], Any]:
 
 
 def _lower_alu(d: DecodedInstruction, regfile: RegisterFile):
-    """Step for ``T_ALU``: Python float arithmetic when both operands
-    are scalars (as ``_alu`` does on them), a NumPy ufunc writing into
-    the destination register otherwise."""
+    """Step for ``T_ALU``: a NumPy ufunc writing into the destination
+    register when a vector is involved on both sides, Python float
+    arithmetic (as ``_alu`` does on two scalars) otherwise."""
     v = regfile.v
-    lhs_spec, rhs_spec = d.lhs_spec, d.rhs_spec
     dest = d.dest_vec_idx
-    if d.alu_scalar_result:
-        op = _PY_OPS[d.alu_op]
-        get_lhs = _float_getter(lhs_spec, regfile)
-        get_rhs = _float_getter(rhs_spec, regfile)
-        if dest is not None:
-            def step():
-                vl = regfile.vl
-                v[dest, :vl] = np.full(vl, float(op(get_lhs(), get_rhs())))
-                return False
-        else:
-            put = _setter(d.dest_spec, regfile)
+    get_lhs = _operand(d.lhs_spec, regfile)
+    get_rhs = _operand(d.rhs_spec, regfile)
+    if dest is not None and not d.alu_scalar_result:
+        ufunc = _UFUNCS[d.alu_op]
 
-            def step():
-                put(float(op(get_lhs(), get_rhs())))
-                return False
+        def step():
+            ufunc(get_lhs(), get_rhs(), out=v[dest, : regfile.vl])
+            return False
         return step
-    if dest is None:
-        # a vector operand into a scalar register: element 0 survives
-        op = _PY_OPS[d.alu_op]
-        put = _setter(d.dest_spec, regfile)
-        get_lhs = _operand(lhs_spec, regfile)
-        get_rhs = _operand(rhs_spec, regfile)
-
+    op = _PY_OPS[d.alu_op]
+    if dest is not None:  # two scalars into a vector register
+        def step():
+            vl = regfile.vl
+            v[dest, :vl] = np.full(vl, float(op(get_lhs(), get_rhs())))
+            return False
+        return step
+    put = _setter(d.dest_spec, regfile)
+    if d.alu_scalar_result:
+        def step():
+            put(float(op(get_lhs(), get_rhs())))
+            return False
+    else:  # a vector operand into a scalar register: element 0 survives
         def step():
             put(float(np.asarray(op(get_lhs(), get_rhs())).flat[0]))
-            return False
-        return step
-    ufunc = _UFUNCS[d.alu_op]
-    if lhs_spec[0] == "v" and rhs_spec[0] == "v":
-        lhs, rhs = lhs_spec[1], rhs_spec[1]
-
-        def step():
-            vl = regfile.vl
-            ufunc(v[lhs, :vl], v[rhs, :vl], out=v[dest, :vl])
-            return False
-    elif rhs_spec[0] == "v":
-        get_lhs = _float_getter(lhs_spec, regfile)
-        rhs = rhs_spec[1]
-
-        def step():
-            vl = regfile.vl
-            ufunc(get_lhs(), v[rhs, :vl], out=v[dest, :vl])
-            return False
-    else:
-        lhs = lhs_spec[1]
-        get_rhs = _float_getter(rhs_spec, regfile)
-
-        def step():
-            vl = regfile.vl
-            ufunc(v[lhs, :vl], get_rhs(), out=v[dest, :vl])
             return False
     return step
 
