@@ -270,7 +270,7 @@ class DecodedInstruction:
         "timing_key", "pipe", "scalar_reads", "scalar_writes",
         "vector_read_idxs", "dest_reg", "dest_is_vector", "mem_stride",
         # execution operands
-        "base_idx", "offset", "stride",
+        "base_idx", "offset",
         "dest_vec_idx", "src_vec_idx", "src_spec", "dest_spec",
         "alu_op", "lhs_spec", "rhs_spec", "alu_scalar_result",
         "cmp_op", "target_pc", "branch_sense",
@@ -306,7 +306,6 @@ class DecodedInstruction:
         self.mem_stride = mem.stride_words if mem is not None else None
         self.base_idx = None
         self.offset = None
-        self.stride = None
         self.dest_vec_idx = None
         self.src_vec_idx = None
         self.src_spec = None
@@ -365,7 +364,6 @@ def _decode_memory(d: DecodedInstruction, instr: Instruction,
         offset += layout.lookup(mem.symbol).offset_bytes
     d.base_idx = mem.base.index
     d.offset = offset
-    d.stride = mem.stride_words
     if instr.mnemonic == "ld":
         dest = instr.operands[1]
         if not isinstance(dest, Register):
@@ -670,8 +668,8 @@ def lower_step(
     if tag == T_ALU:
         return _lower_alu(d, regfile)
     if tag == T_LD_V:
-        base, offset, stride, dest = d.base_idx, d.offset, d.stride, \
-            d.dest_vec_idx
+        base, offset, stride = d.base_idx, d.offset, d.mem_stride
+        dest = d.dest_vec_idx
         read_vector = memory.read_vector
 
         def step():
@@ -680,8 +678,8 @@ def lower_step(
             return False
         return step
     if tag == T_ST_V:
-        base, offset, stride, src = d.base_idx, d.offset, d.stride, \
-            d.src_vec_idx
+        base, offset, stride = d.base_idx, d.offset, d.mem_stride
+        src = d.src_vec_idx
         write_vector = memory.write_vector
 
         def step():
