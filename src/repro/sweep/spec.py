@@ -61,9 +61,33 @@ def _canonical(value):
     return value
 
 
+#: instance ``__dict__`` slot holding a frozen dataclass's canonical text
+_TEXT = "_canonical_text"
+
+
+def _canonical_text(value) -> str:
+    """The canonical JSON text of one :func:`digest` argument.
+
+    A frozen dataclass computes its text once and keeps it in its own
+    ``__dict__``, the way ``functools.cached_property`` does.  The text
+    belongs to the instance, never to its value: ``with_contention(2)``
+    and ``with_contention(2.0)`` compare equal but encode differently.
+    Copies made with ``replace`` start without it; pickles carry it.
+    """
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return json.dumps(_canonical(value), sort_keys=True)
+    text = value.__dict__.get(_TEXT)
+    if text is None:
+        text = json.dumps(_canonical(value), sort_keys=True)
+        value.__dict__[_TEXT] = text
+    return text
+
+
 def digest(*values) -> str:
     """Short stable content digest of dataclass values."""
-    payload = json.dumps([_canonical(v) for v in values], sort_keys=True)
+    # byte for byte json.dumps([...], sort_keys=True) of the values
+    payload = "[" + ", ".join(_canonical_text(v) for v in values) + "]"
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 

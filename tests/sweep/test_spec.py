@@ -1,10 +1,20 @@
 """Sweep grid expansion, keys, and dedup."""
 
+import json
+import pickle
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
-from repro.machine import DEFAULT_CONFIG
+from repro.machine import DEFAULT_CONFIG, MachineConfig
 from repro.sweep import OPTION_VARIANTS, SweepSpec, SweepTask
+from repro.sweep.spec import digest
+from repro.workloads import clear_caches
+
+GOLDEN_KEYS = (
+    Path(__file__).parents[1] / "service" / "data" / "golden_keys.json"
+)
 
 
 class TestSweepTask:
@@ -38,6 +48,52 @@ class TestSweepTask:
         assert task.label == "lfk1/n=32/reuse/base"
         assert task.tag("variant") == "reuse"
         assert task.tag("missing", "x") == "x"
+
+
+class TestKeyTextIsPerInstance:
+    """Keys stay content keys whatever order instances are keyed in."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_KEYS.read_text(encoding="utf-8"))
+
+    def test_copies_of_a_keyed_config_get_their_own_keys(self, golden):
+        base = MachineConfig()
+        assert SweepTask("lfk1", config=base).key == golden["tasks"]["c240"]
+        contended = base.with_contention(1.5)
+        assert SweepTask("lfk1", config=contended).key == \
+            golden["tasks"]["c240/contention-1.5"]
+        no_refresh = base.replace(refresh_enabled=False)
+        assert SweepTask("lfk1", config=no_refresh).key == \
+            golden["tasks"]["c240/no-refresh"]
+        assert SweepTask("lfk1", config=base).key == golden["tasks"]["c240"]
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickled_task_keeps_its_key(self, golden, read_first):
+        task = SweepTask("lfk1", config=MachineConfig().with_contention(1.5))
+        if read_first:
+            assert task.key == golden["tasks"]["c240/contention-1.5"]
+        clone = pickle.loads(pickle.dumps(task))
+        assert clone.key == golden["tasks"]["c240/contention-1.5"]
+        assert clone.key == task.key
+
+    def test_digest_survives_clear_caches(self):
+        config = DEFAULT_CONFIG.without_bubbles()
+        before = digest(config)
+        clear_caches()
+        assert digest(config) == before
+        assert digest(DEFAULT_CONFIG.without_bubbles()) == before
+
+    @pytest.mark.parametrize("first", ["2", "2.0"])
+    def test_equal_values_with_distinct_json_stay_distinct(
+        self, golden, first
+    ):
+        pair = {"2": MachineConfig().with_contention(2),
+                "2.0": MachineConfig().with_contention(2.0)}
+        assert pair["2"] == pair["2.0"]
+        order = [first] + [label for label in pair if label != first]
+        for label in order:
+            assert digest(pair[label]) == golden["contention"][label]
 
 
 class TestSweepSpec:
