@@ -241,7 +241,7 @@ def offline_response(kind: str, params: dict | None = None) -> Response:
     """
     from .jobs import execute_request
 
-    request = canonicalize(kind, dict(params or {}))
+    request = canonicalize(kind, params or {})
     payload = execute_request(request.payload)
     if payload["status"] == "ok":
         return Response(

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 from ..compiler.options import DEFAULT_OPTIONS, CompilerOptions, ReductionStyle
@@ -98,6 +99,21 @@ def taxonomy_error_code(exc: ReproError) -> str:
 
 class ProtocolError(ReproError):
     """Raised for malformed requests (maps to the ``usage`` code)."""
+
+
+def positive_real(name: str, value) -> float:
+    """``value`` as a finite positive float (a JSON number, not a bool).
+
+    Deadlines and cycle budgets both go through here, so a string,
+    zero, a negative, ``NaN`` or an infinity is a ``usage`` error
+    before the request reaches the queue.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ProtocolError(
+        f"{name} must be a finite positive number, got {value!r}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +177,7 @@ def resolve_options(params: dict) -> CompilerOptions:
 
         try:
             return _parse_options_string(str(text))
-        except ValueError as exc:
+        except (ValueError, ReproError) as exc:
             raise ProtocolError(str(exc)) from None
     return DEFAULT_OPTIONS
 
@@ -194,13 +210,9 @@ def resolve_config(params: dict):
         else description.config
     max_cycles = params.get("max_cycles")
     if max_cycles is not None:
-        try:
-            config = config.with_cycle_budget(float(max_cycles))
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"max_cycles must be a positive number, got "
-                f"{max_cycles!r}"
-            ) from None
+        config = config.with_cycle_budget(
+            positive_real("max_cycles", max_cycles)
+        )
     return config
 
 
@@ -218,7 +230,9 @@ def config_payload(params: dict) -> dict:
         payload["machine"] = description.name
         payload["machine_digest"] = description.digest
     if params.get("max_cycles") is not None:
-        payload["max_cycles"] = float(params["max_cycles"])
+        payload["max_cycles"] = positive_real(
+            "max_cycles", params["max_cycles"]
+        )
     return payload
 
 
@@ -351,11 +365,7 @@ def canonicalize(kind: str, params: dict) -> Request:
         raise ProtocolError("'params' must be an object")
     deadline_s = params.get("deadline_s")
     if deadline_s is not None:
-        deadline_s = float(deadline_s)
-        if deadline_s <= 0:
-            raise ProtocolError(
-                f"deadline_s must be positive, got {deadline_s}"
-            )
+        deadline_s = positive_real("deadline_s", deadline_s)
     inject = _inject_payload(params)
 
     if kind in ("run", "bound", "mac"):

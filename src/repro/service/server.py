@@ -76,6 +76,7 @@ from .protocol import (
     decode_line,
     encode_line,
     error_response,
+    positive_real,
 )
 from .singleflight import SingleFlight
 
@@ -397,15 +398,14 @@ class AnalysisServer:
             if kind in CONTROL_KINDS:
                 envelope = self._control(request_id, kind)
             else:
-                request = canonicalize(
-                    kind, dict(frame.get("params") or {})
-                )
+                request = canonicalize(kind, frame.get("params") or {})
                 deadline_s = frame.get("deadline_s")
                 if deadline_s is not None:
                     request = Request(
                         kind=request.kind, key=request.key,
                         payload=request.payload,
-                        deadline_s=float(deadline_s),
+                        deadline_s=positive_real("deadline_s",
+                                                 deadline_s),
                     )
                 envelope = await self._dispatch(request, client_id,
                                                 request_id)

@@ -122,6 +122,41 @@ class TestCanonicalize:
         assert a.key == b.key
 
 
+#: malformed params that must be a ``usage`` error (ProtocolError)
+#: before the request costs queue or worker capacity
+MALFORMED = [
+    ("run", {"kernel": "lfk1", "max_cycles": -5}),
+    ("run", {"kernel": "lfk1", "max_cycles": 0}),
+    ("run", {"kernel": "lfk1", "max_cycles": float("nan")}),
+    ("run", {"kernel": "lfk1", "max_cycles": float("inf")}),
+    ("run", {"kernel": "lfk1", "max_cycles": True}),
+    ("run", {"kernel": "lfk1", "max_cycles": "5000"}),
+    ("bound", {"kernel": "lfk1", "options": "vector_length=0"}),
+    ("bound", {"kernel": "lfk1", "deadline_s": "abc"}),
+    ("bound", {"kernel": "lfk1", "deadline_s": float("nan")}),
+    ("bound", {"kernel": "lfk1", "deadline_s": True}),
+    ("advise", {"kernel": "lfk1", "max_cycles": 0}),
+    ("sweep", {"kernels": ["lfk1"], "max_cycles": "abc"}),
+]
+
+
+class TestMalformedParams:
+    @pytest.mark.parametrize("kind,params", MALFORMED)
+    def test_canonicalize_raises_a_usage_error(self, kind, params):
+        with pytest.raises(ProtocolError):
+            canonicalize(kind, params)
+
+    @pytest.mark.parametrize("kind,params", MALFORMED + [
+        ("run", ["kernel", "lfk1"]),
+        ("run", "kernel=lfk1"),
+    ])
+    def test_offline_response_raises_a_usage_error(self, kind, params):
+        from repro.service.client import offline_response
+
+        with pytest.raises(ProtocolError):
+            offline_response(kind, params)
+
+
 class TestOptionsRoundTrip:
     @pytest.mark.parametrize("name", sorted(OPTION_VARIANTS))
     def test_every_variant_round_trips(self, name):

@@ -128,6 +128,47 @@ class TestRoundTrips:
         assert "latency_ms" in metrics
 
 
+@pytest.fixture(scope="class")
+def idle_server(tmp_path_factory):
+    """A server that only ever sees malformed requests."""
+    sock = str(tmp_path_factory.mktemp("idle") / "macs.sock")
+    thread = start_in_thread(ServiceConfig(socket_path=sock, workers=1))
+    yield thread
+    thread.stop()
+
+
+class TestMalformedRequestsOverWire:
+    """Malformed frames get ``usage`` before using a worker."""
+
+    @pytest.mark.parametrize("frame", [
+        {"kind": "run", "params": {"kernel": "lfk1", "max_cycles": -5}},
+        {"kind": "run", "params": {"kernel": "lfk1", "max_cycles": 0}},
+        {"kind": "run",
+         "params": {"kernel": "lfk1", "max_cycles": float("nan")}},
+        {"kind": "run",
+         "params": {"kernel": "lfk1", "max_cycles": float("inf")}},
+        {"kind": "run",
+         "params": {"kernel": "lfk1", "options": "vector_length=0"}},
+        {"kind": "run", "params": ["kernel", "lfk1"]},
+        {"kind": "run", "params": [["kernel", "lfk1"]]},
+        {"kind": "run", "params": "kernel=lfk1"},
+        {"kind": "run", "params": {"kernel": "lfk1", "deadline_s": "abc"}},
+        {"kind": "run",
+         "params": {"kernel": "lfk1", "deadline_s": float("nan")}},
+        {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": "soon"},
+        {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": 0},
+        {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": -1},
+    ])
+    def test_usage_error_and_no_computation(self, idle_server, frame):
+        with ServiceClient(idle_server.endpoints[0]) as active:
+            active._send({"id": "bad", **frame})
+            response = active._read_response()
+            assert response.status == "error"
+            assert response.error["code"] == "usage", response.error
+            assert response.exit_code == 2
+            assert active.metrics()["computed"] == 0
+
+
 class TestCachingAndSingleFlight:
     def test_second_request_is_a_cache_hit(self, client):
         first = client.request("mac", {"kernel": "lfk7"})
