@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,30 @@ class TestKeyTextIsPerInstance:
         clear_caches()
         assert digest(config) == before
         assert digest(DEFAULT_CONFIG.without_bubbles()) == before
+
+    def test_threads_racing_on_one_instance_agree(self, golden):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            configs = [MachineConfig().with_contention(1.5)
+                       for _ in range(50)]
+            seen = []
+
+            def key_all():
+                keys = [SweepTask("lfk1", config=config).key
+                        for config in configs]
+                seen.extend(keys)
+
+            threads = [threading.Thread(target=key_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(seen) == 8 * len(configs)
+        assert set(seen) == {golden["tasks"]["c240/contention-1.5"]}
 
     @pytest.mark.parametrize("first", ["2", "2.0"])
     def test_equal_values_with_distinct_json_stay_distinct(
