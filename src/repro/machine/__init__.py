@@ -23,7 +23,6 @@ from .multiprocessor import (
     run_under_contention,
 )
 from .pipeline import InstructionTiming
-from .semantics import effective_address, execute_instruction
 from .simulator import (
     DEFAULT_MAX_INSTRUCTIONS,
     SimulationResult,
@@ -55,8 +54,6 @@ __all__ = [
     "WorkloadMix",
     "chime_completion_times",
     "contention_factor_for_load",
-    "effective_address",
-    "execute_instruction",
     "render_timeline",
     "run_program",
     "run_under_contention",

@@ -5,223 +5,41 @@ value-level execution lets the test suite check the compiler against
 NumPy reference implementations of the kernels, exactly as one would
 validate generated code against the source program on real hardware.
 
-:func:`execute_instruction` applies one instruction to a
+:func:`decode_instruction` is the one place that decides which
+instruction forms the machine executes.  It classifies each form once
+into a :class:`DecodedInstruction` tagged with the step that applies
+it, and refuses every other form with a
+:class:`~repro.errors.SimulationError`, so a program holding one is
+rejected before it runs.  :func:`lower_step` turns a decoded record
+into a closure bound to one run's
 :class:`~repro.machine.state.RegisterFile` and
-:class:`~repro.machine.memory.MemorySystem` and returns the branch
-outcome (taken target label or None).
+:class:`~repro.machine.memory.MemorySystem`; those closures are the
+instruction semantics.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable
-from typing import Any
+from typing import Any, TypeGuard
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..isa.instructions import Instruction, OpClass
-from ..isa.operands import Immediate, LabelRef, MemRef, Operand
+from ..isa.operands import Immediate, Operand
 from ..isa.program import DataLayout
 from ..isa.registers import Register, RegisterClass
 from .memory import MemorySystem
 from .state import RegisterFile
 
-
-def effective_address(
-    mem: MemRef, regfile: RegisterFile, layout: DataLayout
-) -> int:
-    """Byte address of a memory operand: symbol base + disp + base reg."""
-    address = regfile.read(mem.base) + mem.displacement
-    if mem.symbol is not None:
-        address += layout.lookup(mem.symbol).offset_bytes
-    return int(address)
-
-
-def _scalar_value(
-    operand: Operand, regfile: RegisterFile
-) -> float | int:
-    if isinstance(operand, Immediate):
-        return operand.value
-    if isinstance(operand, Register):
-        return regfile.read(operand)
-    raise SimulationError(f"operand {operand} has no scalar value")
-
-
-def _vector_or_scalar(
-    operand: Operand, regfile: RegisterFile
-) -> np.ndarray | float:
-    """Fetch an ALU input: vector elements, or a scalar to broadcast."""
-    if isinstance(operand, Register) and operand.is_vector:
-        return regfile.read_vector(operand)
-    return float(_scalar_value(operand, regfile))
-
-
-def _alu(instr: Instruction, lhs, rhs) -> np.ndarray | float:
-    mnemonic = instr.mnemonic
-    if mnemonic == "add":
-        return lhs + rhs
-    if mnemonic == "sub":
-        return lhs - rhs
-    if mnemonic == "mul":
-        return lhs * rhs
-    if mnemonic == "div":
-        return lhs / rhs
-    raise SimulationError(f"no ALU semantics for {mnemonic}")
-
-
-def _execute_memory(
-    instr: Instruction,
-    regfile: RegisterFile,
-    memory: MemorySystem,
-    layout: DataLayout,
-) -> None:
-    mem = instr.memory_operand
-    assert mem is not None
-    address = effective_address(mem, regfile, layout)
-    if instr.mnemonic == "ld":
-        dest = instr.operands[1]
-        if not isinstance(dest, Register):
-            raise SimulationError(f"ld destination {dest} is not a register")
-        if dest.is_vector:
-            values = memory.read_vector(address, mem.stride_words, regfile.vl)
-            regfile.write_vector(dest, values)
-        else:
-            regfile.write(dest, memory.read_word(address))
-    else:  # st
-        src = instr.operands[0]
-        if not isinstance(src, Register):
-            raise SimulationError(f"st source {src} is not a register")
-        if src.is_vector:
-            memory.write_vector(
-                address, mem.stride_words, regfile.read_vector(src)
-            )
-        else:
-            memory.write_word(address, float(regfile.read(src)))
-
-
-def _execute_arithmetic(instr: Instruction, regfile: RegisterFile) -> None:
-    dest = instr.destination
-    if not isinstance(dest, Register):
-        raise SimulationError(f"{instr} has no register destination")
-    if len(instr.operands) == 3:
-        lhs = _vector_or_scalar(instr.operands[0], regfile)
-        rhs = _vector_or_scalar(instr.operands[1], regfile)
-    else:  # two-operand accumulate: dest is also the right-hand source
-        lhs = _vector_or_scalar(instr.operands[0], regfile)
-        rhs = _vector_or_scalar(dest, regfile)
-        if instr.mnemonic in ("sub", "div"):
-            # Convex accumulate forms compute dest := dest OP src.
-            lhs, rhs = rhs, lhs
-    result = _alu(instr, lhs, rhs)
-    if dest.is_vector:
-        if np.isscalar(result) or getattr(result, "ndim", 1) == 0:
-            result = np.full(regfile.vl, float(result))
-        regfile.write_vector(dest, np.asarray(result, dtype=np.float64))
-    else:
-        regfile.write(dest, float(np.asarray(result).flat[0])
-                      if hasattr(result, "flat") else float(result))
-
-
-def _execute_neg(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if not isinstance(src, Register) or not isinstance(dest, Register):
-        raise SimulationError(f"neg operands must be registers: {instr}")
-    if src.is_vector and dest.is_vector:
-        regfile.write_vector(dest, -regfile.read_vector(src))
-    elif not src.is_vector and not dest.is_vector:
-        regfile.write(dest, -regfile.read(src))
-    else:
-        raise SimulationError(f"neg cannot mix vector and scalar: {instr}")
-
-
-def _execute_sum(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if (
-        not isinstance(src, Register)
-        or not src.is_vector
-        or not isinstance(dest, Register)
-        or dest.rclass is not RegisterClass.SCALAR
-    ):
-        raise SimulationError(
-            f"sum expects vector source and scalar destination: {instr}"
-        )
-    regfile.write(dest, float(regfile.read_vector(src).sum()))
-
-
-def _execute_move(instr: Instruction, regfile: RegisterFile) -> None:
-    src, dest = instr.operands
-    if not isinstance(dest, Register):
-        raise SimulationError(f"mov destination must be a register: {instr}")
-    if isinstance(src, Register) and src.is_vector and dest.is_vector:
-        regfile.write_vector(dest, regfile.read_vector(src).copy())
-        return
-    regfile.write(dest, _scalar_value(src, regfile))
-
-
-def _execute_compare(instr: Instruction, regfile: RegisterFile) -> None:
-    lhs = _scalar_value(instr.operands[0], regfile)
-    rhs = _scalar_value(instr.operands[1], regfile)
-    if instr.mnemonic == "lt":
-        regfile.flag = lhs < rhs
-    elif instr.mnemonic == "le":
-        regfile.flag = lhs <= rhs
-    elif instr.mnemonic == "eq":
-        regfile.flag = lhs == rhs
-    else:
-        raise SimulationError(f"unknown compare {instr.mnemonic}")
-
-
-def branch_target(instr: Instruction, regfile: RegisterFile) -> str | None:
-    """Label the branch transfers to, or None for fall-through."""
-    target = instr.operands[0]
-    assert isinstance(target, LabelRef)
-    if instr.mnemonic == "jbr":
-        return target.name
-    # jbrs: conditional on the test flag; suffix selects the sense.
-    taken = regfile.flag if instr.suffix == "t" else not regfile.flag
-    return target.name if taken else None
-
-
-def execute_instruction(
-    instr: Instruction,
-    regfile: RegisterFile,
-    memory: MemorySystem,
-    layout: DataLayout,
-) -> str | None:
-    """Apply one instruction; return the taken branch label, if any."""
-    opclass = instr.spec.opclass
-    if opclass is OpClass.MEMORY:
-        _execute_memory(instr, regfile, memory, layout)
-    elif opclass is OpClass.REDUCTION:
-        _execute_sum(instr, regfile)
-    elif opclass is OpClass.MOVE:
-        _execute_move(instr, regfile)
-    elif opclass is OpClass.COMPARE:
-        _execute_compare(instr, regfile)
-    elif opclass is OpClass.BRANCH:
-        return branch_target(instr, regfile)
-    elif instr.mnemonic == "neg":
-        _execute_neg(instr, regfile)
-    else:
-        _execute_arithmetic(instr, regfile)
-    return None
-
-
-# ======================================================================
-# Decoded (pre-classified) execution
-# ======================================================================
-#
 # ``Instruction`` computes every classification (``is_vector``, operand
 # sets, the opcode spec …) as a property, from scratch, on each access.
 # That is fine for analysis passes but dominates the simulator's inner
 # loop, which re-reads the same metadata millions of times.
 # :func:`decode_program` precomputes it once per program into plain
-# attribute records; :func:`lower_step` then turns each record into a
-# closure bound to one run's register file and memory that applies
-# exactly the same value semantics as :func:`execute_instruction` — the
-# float operations and conversions are mirrored operation for
-# operation, so the two paths are bit-for-bit identical.
+# attribute records, which :func:`lower_step` and the timing model's
+# :func:`~repro.machine.pipeline.lower` read.
 
 #: Execution dispatch tags.
 T_LD_V = 0
@@ -232,12 +50,10 @@ T_ALU = 4
 T_NEG_V = 5
 T_NEG_S = 6
 T_SUM = 7
-T_MOV_VV = 8
-T_MOV = 9
-T_CMP = 10
-T_BR = 11
-T_BRS = 12
-T_LEGACY = 13  # anything decode does not specialize
+T_MOV = 8
+T_CMP = 9
+T_BR = 10
+T_BRS = 11
 
 #: Scalar operand-location kinds (``(kind, payload)`` specs).
 K_IMM = 0
@@ -279,7 +95,7 @@ class DecodedInstruction:
     def __init__(self, instr: Instruction):
         self.instr = instr
         self.mnemonic = instr.mnemonic
-        self.tag = T_LEGACY
+        self.tag: int | None = None  # set by decode_instruction
         self.is_vector = instr.is_vector
         self.is_scalar_memory = instr.is_scalar_memory
         self.touches_memory = instr.touches_memory
@@ -319,40 +135,38 @@ class DecodedInstruction:
         self.branch_sense = True
 
 
-def _scalar_spec(operand: Operand, floated: bool):
-    """``(kind, payload)`` locator for a scalar-valued operand.
-
-    With ``floated`` the immediate payload is pre-converted to float,
-    matching ``_vector_or_scalar``'s ``float(...)`` wrap; otherwise the
-    raw value is kept, matching ``_scalar_value``.
-    """
-    if isinstance(operand, Immediate):
-        return (K_IMM, float(operand.value) if floated else operand.value)
-    if isinstance(operand, Register):
-        cls = operand.rclass
-        if cls is RegisterClass.ADDRESS:
-            return (K_A, operand.index)
-        if cls is RegisterClass.SCALAR:
-            return (K_S, operand.index)
-        if cls is RegisterClass.VECTOR_LENGTH:
-            return (K_VL, 0)
-        if cls is RegisterClass.VECTOR_STRIDE:
-            return (K_VS, 0)
-    return None
-
-
-def _dest_spec(register: Register):
-    """``(kind, payload)`` locator for a scalar register destination."""
-    cls = register.rclass
+def _register_spec(operand: Operand):
+    """``(kind, payload)`` locator of a scalar-valued register (a/s/VL/VS),
+    or None for any other operand."""
+    if not isinstance(operand, Register):
+        return None
+    cls = operand.rclass
     if cls is RegisterClass.ADDRESS:
-        return (K_A, register.index)
+        return (K_A, operand.index)
     if cls is RegisterClass.SCALAR:
-        return (K_S, register.index)
+        return (K_S, operand.index)
     if cls is RegisterClass.VECTOR_LENGTH:
         return (K_VL, 0)
     if cls is RegisterClass.VECTOR_STRIDE:
         return (K_VS, 0)
     return None
+
+
+def _scalar_spec(operand: Operand, floated: bool):
+    """``(kind, payload)`` locator for a scalar-valued operand: an
+    immediate or a scalar-valued register, None for anything else.
+
+    With ``floated`` an immediate's payload is converted to float here,
+    once, as ALU operands need; otherwise it keeps its own int or float
+    value.
+    """
+    if isinstance(operand, Immediate):
+        return (K_IMM, float(operand.value) if floated else operand.value)
+    return _register_spec(operand)
+
+
+def _is_vector_register(operand: Operand) -> TypeGuard[Register]:
+    return isinstance(operand, Register) and operand.is_vector
 
 
 def _decode_memory(d: DecodedInstruction, instr: Instruction,
@@ -366,30 +180,22 @@ def _decode_memory(d: DecodedInstruction, instr: Instruction,
     d.offset = offset
     if instr.mnemonic == "ld":
         dest = instr.operands[1]
-        if not isinstance(dest, Register):
-            return  # legacy path raises the proper error
-        if dest.is_vector:
+        if _is_vector_register(dest):
             d.tag = T_LD_V
             d.dest_vec_idx = dest.index
         else:
-            spec = _dest_spec(dest)
-            if spec is None:
-                return
-            d.tag = T_LD_S
-            d.dest_spec = spec
+            d.dest_spec = _register_spec(dest)
+            if d.dest_spec is not None:
+                d.tag = T_LD_S
     else:  # st
         src = instr.operands[0]
-        if not isinstance(src, Register):
-            return
-        if src.is_vector:
+        if _is_vector_register(src):
             d.tag = T_ST_V
             d.src_vec_idx = src.index
         else:
-            spec = _scalar_spec(src, floated=False)
-            if spec is None:
-                return
-            d.tag = T_ST_S
-            d.src_spec = spec
+            d.src_spec = _register_spec(src)
+            if d.src_spec is not None:
+                d.tag = T_ST_S
 
 
 def _decode_arithmetic(d: DecodedInstruction, instr: Instruction) -> None:
@@ -401,54 +207,53 @@ def _decode_arithmetic(d: DecodedInstruction, instr: Instruction) -> None:
     else:  # two-operand accumulate: dest is also the right-hand source
         lhs_op, rhs_op = instr.operands[0], dest
         if instr.mnemonic in ("sub", "div"):
+            # Convex accumulate forms compute dest := dest OP src.
             lhs_op, rhs_op = rhs_op, lhs_op
     specs = []
     for op in (lhs_op, rhs_op):
-        if isinstance(op, Register) and op.is_vector:
+        if _is_vector_register(op):
             specs.append(("v", op.index))
         else:
             spec = _scalar_spec(op, floated=True)
             if spec is None:
                 return
             specs.append(spec)
+    if dest.is_vector:
+        d.dest_vec_idx = dest.index
+    else:
+        d.dest_spec = _register_spec(dest)
+        if d.dest_spec is None:
+            return
     d.lhs_spec, d.rhs_spec = specs
     d.alu_scalar_result = (
         d.lhs_spec[0] != "v" and d.rhs_spec[0] != "v"
     )
-    d.alu_op = _ALU_OPS.get(instr.mnemonic)
-    if d.alu_op is None:
-        return
-    if dest.is_vector:
-        d.dest_vec_idx = dest.index
-        d.dest_spec = None
-    else:
-        spec = _dest_spec(dest)
-        if spec is None:
-            return
-        d.dest_spec = spec
+    d.alu_op = _ALU_OPS[instr.mnemonic]
     d.tag = T_ALU
 
 
 def decode_instruction(
     instr: Instruction,
-    layout: DataLayout | None = None,
+    layout: DataLayout,
     target_pc: int = -1,
 ) -> DecodedInstruction:
     """Build the decoded record for one instruction.
 
-    Without ``layout``, memory instructions keep the legacy execution
-    tag (symbol offsets cannot be resolved) but all classification /
-    timing fields are still valid.
+    Raises :class:`SimulationError` naming the instruction when its
+    form has no lowered step: a non-register ``ld`` destination or
+    ``st`` source, an ALU operand that is a memory reference, a label
+    or ``VM``, a non-register ALU destination, a ``neg`` mixing vector
+    and scalar, a ``sum`` into anything but a scalar register, and any
+    vector ``mov`` or compare (neither has a Table 1 timing entry).
     """
     d = DecodedInstruction(instr)
     opclass = instr.spec.opclass
     if opclass is OpClass.MEMORY:
-        if layout is not None:
-            _decode_memory(d, instr, layout)
+        _decode_memory(d, instr, layout)
     elif opclass is OpClass.REDUCTION:
         src, dest = instr.operands
         if (
-            isinstance(src, Register) and src.is_vector
+            _is_vector_register(src)
             and isinstance(dest, Register)
             and dest.rclass is RegisterClass.SCALAR
         ):
@@ -457,30 +262,20 @@ def decode_instruction(
             d.dest_spec = (K_S, dest.index)
     elif opclass is OpClass.MOVE:
         src, dest = instr.operands
-        if isinstance(dest, Register):
-            if (
-                isinstance(src, Register) and src.is_vector
-                and dest.is_vector
-            ):
-                d.tag = T_MOV_VV
-                d.src_vec_idx = src.index
-                d.dest_vec_idx = dest.index
-            elif not dest.is_vector:
-                spec = _scalar_spec(src, floated=False)
-                dspec = _dest_spec(dest)
-                if spec is not None and dspec is not None:
-                    d.tag = T_MOV
-                    d.src_spec = spec
-                    d.dest_spec = dspec
+        spec = _scalar_spec(src, floated=False)
+        dspec = _register_spec(dest)
+        if spec is not None and dspec is not None:
+            d.tag = T_MOV
+            d.src_spec = spec
+            d.dest_spec = dspec
     elif opclass is OpClass.COMPARE:
         lhs = _scalar_spec(instr.operands[0], floated=False)
         rhs = _scalar_spec(instr.operands[1], floated=False)
-        op = _CMP_OPS.get(instr.mnemonic)
-        if lhs is not None and rhs is not None and op is not None:
+        if lhs is not None and rhs is not None:
             d.tag = T_CMP
             d.lhs_spec = lhs
             d.rhs_spec = rhs
-            d.cmp_op = op
+            d.cmp_op = _CMP_OPS[instr.mnemonic]
     elif opclass is OpClass.BRANCH:
         d.target_pc = target_pc
         if instr.mnemonic == "jbr":
@@ -490,20 +285,21 @@ def decode_instruction(
             d.branch_sense = instr.suffix == "t"
     elif instr.mnemonic == "neg":
         src, dest = instr.operands
-        if isinstance(src, Register) and isinstance(dest, Register):
-            if src.is_vector and dest.is_vector:
-                d.tag = T_NEG_V
-                d.src_vec_idx = src.index
-                d.dest_vec_idx = dest.index
-            elif not src.is_vector and not dest.is_vector:
-                spec = _scalar_spec(src, floated=False)
-                dspec = _dest_spec(dest)
-                if spec is not None and dspec is not None:
-                    d.tag = T_NEG_S
-                    d.src_spec = spec
-                    d.dest_spec = dspec
+        if _is_vector_register(src) and _is_vector_register(dest):
+            d.tag = T_NEG_V
+            d.src_vec_idx = src.index
+            d.dest_vec_idx = dest.index
+        else:
+            spec = _register_spec(src)
+            dspec = _register_spec(dest)
+            if spec is not None and dspec is not None:
+                d.tag = T_NEG_S
+                d.src_spec = spec
+                d.dest_spec = dspec
     else:
         _decode_arithmetic(d, instr)
+    if d.tag is None:
+        raise SimulationError(f"unsupported instruction form: {instr}")
     return d
 
 
@@ -553,7 +349,8 @@ _CMP_FNS = {CMP_LT: operator.lt, CMP_LE: operator.le, CMP_EQ: operator.eq}
 
 
 def _getter(spec, regfile: RegisterFile) -> Callable[[], Any]:
-    """Raw scalar operand fetch (mirror of ``_scalar_value``)."""
+    """Scalar operand fetch: an immediate as decoded, an address
+    register as int, a scalar register as float, VL/VS as int."""
     kind, payload = spec
     if kind == K_IMM:
         return lambda: payload
@@ -569,7 +366,8 @@ def _getter(spec, regfile: RegisterFile) -> Callable[[], Any]:
 
 
 def _float_getter(spec, regfile: RegisterFile) -> Callable[[], float]:
-    """Floated scalar ALU operand (mirror of ``_vector_or_scalar``)."""
+    """Scalar ALU operand, as a float (immediates were floated at
+    decode)."""
     kind, payload = spec
     if kind == K_IMM:
         return lambda: payload  # pre-floated at decode time
@@ -585,7 +383,9 @@ def _float_getter(spec, regfile: RegisterFile) -> Callable[[], float]:
 
 
 def _setter(spec, regfile: RegisterFile) -> Callable[[Any], None]:
-    """Scalar register write (mirror of ``RegisterFile.write``)."""
+    """Scalar register write: int into an address register or VS,
+    float into a scalar register; VL clamps to ``[0, max_vl]``, as
+    :meth:`RegisterFile.write` does."""
     kind, payload = spec
     if kind == K_A:
         a = regfile.a
@@ -619,7 +419,7 @@ def _operand(spec, regfile: RegisterFile) -> Callable[[], Any]:
 def _lower_alu(d: DecodedInstruction, regfile: RegisterFile):
     """Step for ``T_ALU``: a NumPy ufunc writing into the destination
     register when a vector is involved on both sides, Python float
-    arithmetic (as ``_alu`` does on two scalars) otherwise."""
+    arithmetic on two scalars otherwise."""
     v = regfile.v
     dest = d.dest_vec_idx
     get_lhs = _operand(d.lhs_spec, regfile)
@@ -654,14 +454,13 @@ def lower_step(
     d: DecodedInstruction,
     regfile: RegisterFile,
     memory: MemorySystem,
-    layout: DataLayout,
 ) -> Callable[[], bool]:
     """A closure applying ``d`` to ``regfile``/``memory``; it returns
     True when a branch is taken.
 
-    Value-for-value mirror of :func:`execute_instruction` — every float
-    operation and int/float conversion happens in the same order on the
-    same Python/NumPy types, so results are bit-for-bit identical.
+    These closures are the machine's instruction semantics.  Every tag
+    :func:`decode_instruction` produces has one, so there is no other
+    path an instruction's values can take.
     """
     tag = d.tag
     v, a = regfile.v, regfile.a
@@ -734,14 +533,6 @@ def lower_step(
             s[dest] = float(v[src, : regfile.vl].sum())
             return False
         return step
-    if tag == T_MOV_VV:
-        dest, src = d.dest_vec_idx, d.src_vec_idx
-
-        def step():
-            vl = regfile.vl
-            v[dest, :vl] = v[src, :vl]
-            return False
-        return step
     if tag == T_NEG_V:
         dest, src = d.dest_vec_idx, d.src_vec_idx
 
@@ -750,17 +541,11 @@ def lower_step(
             np.negative(v[src, :vl], out=v[dest, :vl])
             return False
         return step
-    if tag == T_NEG_S:
-        put = _setter(d.dest_spec, regfile)
-        get = _getter(d.src_spec, regfile)
+    # T_NEG_S, the last tag decode produces
+    put = _setter(d.dest_spec, regfile)
+    get = _getter(d.src_spec, regfile)
 
-        def step():
-            put(-get())
-            return False
-        return step
-    # Fallback: the reference interpreter (also raises the proper
-    # errors for malformed instructions).
-    instr = d.instr
-    return lambda: (
-        execute_instruction(instr, regfile, memory, layout) is not None
-    )
+    def step():
+        put(-get())
+        return False
+    return step

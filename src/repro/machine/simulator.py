@@ -123,16 +123,17 @@ class Simulator:
         Raises a typed :class:`~repro.errors.BudgetExceededError` when
         the instruction budget (runaway loop) or the config's
         ``cycle_budget`` ceiling is exhausted, and
-        :class:`SimulationError` when an instruction faults.
+        :class:`SimulationError` when the program holds an instruction
+        form decode does not support (before pc 0 runs) or an
+        instruction faults.
         """
         program = self.program
         regfile = self.regfile
         memory = self.memory
-        layout = program.layout
         decoded = decode_program(program)
         lowered = lower(
             decoded,
-            [lower_step(d, regfile, memory, layout) for d in decoded],
+            [lower_step(d, regfile, memory) for d in decoded],
             self.config,
             memory,
         )

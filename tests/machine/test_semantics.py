@@ -1,11 +1,12 @@
-"""Functional (value-level) instruction semantics tests."""
+"""Functional (value-level) instruction semantics tests: each
+instruction is decoded, lowered onto a register file and memory, and
+its step applied once."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.isa import (
-    AsmBuilder,
     Immediate,
     Instruction,
     LabelRef,
@@ -17,7 +18,7 @@ from repro.isa import (
 )
 from repro.isa.program import DataLayout
 from repro.machine import MachineConfig, MemorySystem, RegisterFile
-from repro.machine.semantics import effective_address, execute_instruction
+from repro.machine.semantics import decode_instruction, lower_step
 
 
 @pytest.fixture
@@ -29,9 +30,16 @@ def env():
     return regfile, memory, layout
 
 
-def run(instr, env):
+def lowered(instr, env, target_pc=-1):
     regfile, memory, layout = env
-    return execute_instruction(instr, regfile, memory, layout)
+    d = decode_instruction(instr, layout, target_pc)
+    return d, lower_step(d, regfile, memory)
+
+
+def run(instr, env):
+    """Apply ``instr`` once; returns whether it branched."""
+    _, step = lowered(instr, env)
+    return step()
 
 
 class TestScalarOps:
@@ -100,17 +108,23 @@ class TestCompareBranch:
     def test_branch_senses(self, env):
         regfile, *_ = env
         regfile.flag = True
-        taken = run(
-            Instruction("jbrs", (LabelRef("L"),), suffix="t"), env
+        d, step = lowered(
+            Instruction("jbrs", (LabelRef("L"),), suffix="t"), env,
+            target_pc=5,
         )
-        assert taken == "L"
+        assert step() is True
+        assert d.target_pc == 5
         not_taken = run(
             Instruction("jbrs", (LabelRef("L"),), suffix="f"), env
         )
-        assert not_taken is None
+        assert not_taken is False
 
     def test_unconditional_jump(self, env):
-        assert run(Instruction("jbr", (LabelRef("X"),)), env) == "X"
+        d, step = lowered(
+            Instruction("jbr", (LabelRef("X"),)), env, target_pc=3
+        )
+        assert step() is True
+        assert d.target_pc == 3
 
 
 class TestMemoryOps:
@@ -133,9 +147,9 @@ class TestMemoryOps:
         assert memory.read_word(24) == 9.0
 
     def test_symbol_resolution(self, env):
-        regfile, memory, layout = env
         mem = MemRef(areg(0), 8, "x")
-        assert effective_address(mem, regfile, layout) == 8
+        d, _ = lowered(Instruction("ld", (mem, sreg(1)), suffix="l"), env)
+        assert d.offset == 8
 
     def test_vector_load_uses_vl(self, env):
         regfile, memory, layout = env
