@@ -29,9 +29,14 @@ Operational behavior:
   backoff jitter keyed by the content key.  Down replicas are probed
   again on later requests, so a recovered replica rejoins without a
   topology change;
-* **admission rejections** (typed ``rejected`` responses) are retried
-  on the same preference order after the server-suggested
-  ``retry_after_s`` (capped), within the same retry budget;
+* **admission rejections** (typed ``rejected`` responses, code
+  ``busy``) are retried on the same preference order after the
+  server-suggested ``retry_after_s`` (capped), within the same retry
+  budget;
+* **draining replicas** — a ``rejected`` response with code
+  ``unavailable`` comes from a replica that computes nothing new, so
+  the request moves on to the key's next ring successor within the
+  same pass;
 * **chaos** — before each send the ``fleet.replica`` fault site is
   checked with the target replica's name as the path; a matched
   ``io-error`` invokes the fabric's partitioner against that replica
@@ -207,11 +212,16 @@ class FleetClient:
                     continue
                 self.mark_up(name)
                 if response.status == "rejected":
+                    last_response = response
+                    if response.error.get("code") == "unavailable":
+                        # Draining: this replica will not compute the
+                        # key, but its successor can.
+                        self.failovers += 1
+                        continue
                     # Admission pushback, not a failure — the body
                     # will exist once load drains.  Honor (a capped)
                     # retry_after_s and try the next pass.
                     self.rejected_retries += 1
-                    last_response = response
                     retry_after = float(
                         response.error.get("retry_after_s", 0.0)
                     )

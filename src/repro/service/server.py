@@ -182,6 +182,7 @@ class AnalysisServer:
             ),
         )
         self.draining = False
+        self._partitioned = False
         self.endpoints: list[str] = []
         self._servers: list[asyncio.AbstractServer] = []
         self._raw_sockets: list[socket.socket] = []
@@ -250,6 +251,7 @@ class AnalysisServer:
         thread-mode replica never leaks worker processes.
         """
         self.draining = True
+        self._partitioned = True
         for server in self._servers:
             server.close()
         for writer in list(self._writers):
@@ -321,6 +323,11 @@ class AnalysisServer:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        if self._partitioned:
+            # Accepted before the listeners closed, but started after
+            # partition(): a severed replica serves no one.
+            writer.transport.abort()
+            return
         spec = _faults.check("service.accept")
         if spec is not None and spec.kind == "io-error":
             # An accept-path fault: this connection is dropped, the

@@ -6,8 +6,9 @@ from repro.errors import ExperimentError
 from repro.fleet import FleetClient
 from repro.fleet.fabric import Fleet
 from repro.resilience.retry import RetryPolicy
-from repro.service.client import offline_response
+from repro.service.client import ServiceClient, offline_response
 from repro.service.protocol import canonicalize
+from repro.workloads import workload_names
 
 FAKE_TOPOLOGY = {
     "replica-0": "unix:/nonexistent-0.sock",
@@ -169,5 +170,44 @@ class TestFailover:
                 shards = fleet.metrics(name).get("shards", {})
                 l2_hits += shards.get(name, {}).get("l2_hits", 0)
             assert l2_hits >= 1
+        finally:
+            fleet.stop()
+
+    def test_draining_replica_keys_come_from_a_successor(self, tmp_path):
+        """A draining replica refuses its uncached keys as
+        ``unavailable``; the client serves them from a successor."""
+        fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+        try:
+            with fleet.client(
+                retry=RetryPolicy.immediate(retries=2)
+            ) as client:
+                owner = {
+                    kernel: client.ring.owner(
+                        canonicalize("advise", {"kernel": kernel}).key
+                    )
+                    for kernel in workload_names()
+                }
+                victim = owner["lfk1"]
+                owned = [k for k, name in owner.items() if name == victim]
+                assert len(owned) >= 2
+                # Open the client's connection to the victim, then
+                # drain it: the listener closes, the connection stays.
+                assert client.request(
+                    "advise", {"kernel": owned[0]}
+                ).ok
+                endpoint = fleet.replicas[victim].endpoint
+                with ServiceClient(endpoint, timeout=10.0) as admin:
+                    assert admin.drain().ok
+                for kernel in owned[1:]:
+                    response = client.request(
+                        "advise", {"kernel": kernel}
+                    )
+                    assert response.status == "ok", response.error
+                    oracle = offline_response(
+                        "advise", {"kernel": kernel}
+                    )
+                    assert response.canonical_text() == \
+                        oracle.canonical_text()
+                assert client.stats()["down"] == []
         finally:
             fleet.stop()

@@ -5,14 +5,19 @@ behaviors that need special limits (admission, deadlines, drain) spin
 up their own short-lived instances.
 """
 
+import asyncio
+import threading
+
 import pytest
 
+from repro.errors import ExperimentError
 from repro.service import ServiceConfig, start_in_thread
 from repro.service.client import (
     ServiceClient,
     offline_response,
     parse_endpoint,
 )
+from repro.service.server import AnalysisServer
 
 
 @pytest.fixture(scope="module")
@@ -340,3 +345,46 @@ class TestDrain:
         thread.stop()
         assert not thread.thread.is_alive()
         assert not os.path.exists(sock)
+
+
+class TestPartition:
+    def test_handler_started_after_partition_is_aborted(self, tmp_path):
+        """A connection accepted before partition() closed the
+        listener, whose handler only starts afterwards, is aborted
+        rather than served by the severed replica."""
+        server = AnalysisServer(ServiceConfig(
+            socket_path=str(tmp_path / "part.sock"), workers=1
+        ))
+        handle_client = server._handle_client
+
+        async def handle_after_partition(reader, writer):
+            server.partition()
+            await handle_client(reader, writer)
+
+        server._handle_client = handle_after_partition
+        ready = threading.Event()
+        running = {}
+
+        async def main():
+            running["loop"] = asyncio.get_running_loop()
+            running["release"] = asyncio.Event()
+            await server.start()
+            ready.set()
+            await running["release"].wait()
+            await server.wait_drained()
+
+        thread = threading.Thread(target=asyncio.run, args=(main(),))
+        thread.start()
+        try:
+            assert ready.wait(timeout=10.0)
+            conn = ServiceClient(server.endpoints[0], timeout=10.0)
+            conn.connect()
+            try:
+                with pytest.raises(ExperimentError):
+                    conn.ping()
+            finally:
+                conn.close()
+        finally:
+            running["loop"].call_soon_threadsafe(running["release"].set)
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
