@@ -12,10 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..errors import AsmSyntaxError, IsaError
 from .instructions import Instruction
 from .operands import LabelRef, MemRef, WORD_BYTES
+
+if TYPE_CHECKING:
+    from ..schedule.chimes import ChimePartition, ChimeRules
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,12 @@ class Program:
         #: per-instance cache slot for the simulator's decoded form (see
         #: :func:`repro.machine.semantics.decode_program`)
         self._decoded_cache = None
+        #: per-instance cache slot for the inner loop's MACS chime
+        #: partitions, keyed by body variant and chime rules (see
+        #: :mod:`repro.model.macs`)
+        self._macs_partitions: dict[
+            tuple[str, ChimeRules], ChimePartition
+        ] = {}
 
     @staticmethod
     def _index_labels(

@@ -17,13 +17,20 @@ A chime's steady-state cost is ``max(Z_i) * VL + sum(B_i)`` (paper
 eq. 13); the memory-refresh rule multiplies every run of four or more
 consecutive memory-containing chimes by 1.02 (§3.4).  The chime list
 repeats every loop iteration, so runs are detected circularly.
+
+A partition depends only on the loop body and the :class:`ChimeRules`,
+so :class:`ChimePartition` and :class:`Chime` are immutable and may be
+shared.  The MACS bounds (:mod:`repro.model.macs`) partition each
+compiled program's full, ``t_f''`` and ``t_m''`` bodies once per rule
+set and keep the partitions on the program; the cost, which depends
+on VL, the timing table, refresh and chaining, is computed per call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import ScheduleError
 from ..isa.instructions import Instruction, Pipe
@@ -77,17 +84,22 @@ class ChimeRules:
 DEFAULT_RULES = ChimeRules()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Chime:
-    """One group of concurrently executing vector instructions."""
+    """One group of concurrently executing vector instructions.
 
-    instructions: list[Instruction] = field(default_factory=list)
+    :func:`partition_chimes` records each instruction's Table 1 key and
+    the chime's memory flag as it builds the chime, so costing a chime
+    never classifies its instructions again.
+    """
+
+    instructions: tuple[Instruction, ...] = ()
     #: True when a scalar memory access forced this chime to end
     split_by_scalar_memory: bool = False
-
-    @property
-    def has_memory_op(self) -> bool:
-        return any(i.is_vector_memory for i in self.instructions)
+    #: each instruction's Table 1 timing key, in order
+    timing_keys: tuple[str, ...] = ()
+    #: True when the chime holds a vector load or store
+    has_memory_op: bool = False
 
     def pipes_used(self) -> set[Pipe]:
         return {i.pipe for i in self.instructions if i.pipe is not None}
@@ -101,13 +113,13 @@ class Chime:
         Without chaining the chime's streams cannot overlap, so the
         cost degrades to ``sum(Z * VL_eff) + sum(B)``.
         """
-        if not self.instructions:
+        if not self.timing_keys:
             raise ScheduleError("empty chime has no cost")
         max_stream = 0.0
         total_stream = 0.0
         total_b = 0
-        for instr in self.instructions:
-            timing = timings.lookup(instr.timing_key)
+        for key in self.timing_keys:
+            timing = timings.lookup(key)
             stream = timing.z * timing.effective_vl(vl)
             max_stream = max(max_stream, stream)
             total_stream += stream
@@ -118,12 +130,47 @@ class Chime:
         return len(self.instructions)
 
 
+class _VectorOp(NamedTuple):
+    """A vector instruction as the chime rules see it, classified once."""
+
+    instr: Instruction
+    pipe: Pipe
+    timing_key: str
+    is_memory: bool
+    #: register pair of each vector source operand, repeats included
+    pair_reads: tuple[int, ...]
+    #: register pair of each vector register written
+    pair_writes: tuple[int, ...]
+
+
+def _classify(instr: Instruction) -> _VectorOp:
+    timing_key = instr.timing_key
+    if timing_key is None:
+        raise ScheduleError(
+            f"vector instruction {instr} has no timing class"
+        )
+    pipe = instr.pipe
+    assert pipe is not None
+    return _VectorOp(
+        instr,
+        pipe,
+        timing_key,
+        instr.is_vector_memory,
+        tuple(
+            operand.pair_index for operand in instr.sources
+            if isinstance(operand, Register) and operand.is_vector
+        ),
+        tuple(reg.pair_index for reg in instr.vector_writes),
+    )
+
+
 class _ChimeBuilder:
     """Incremental constraint tracking for the current chime."""
 
     def __init__(self, rules: ChimeRules):
         self.rules = rules
-        self.instructions: list[Instruction] = []
+        self.ops: list[_VectorOp] = []
+        self._has_memory_op = False
         self._pipes: set[Pipe] = set()
         self._pair_reads: dict[int, int] = {}
         self._pair_writes: dict[int, int] = {}
@@ -133,54 +180,50 @@ class _ChimeBuilder:
         """Record a scalar memory access; True if the chime must end."""
         if not self.rules.scalar_memory_splits:
             return False
-        if any(i.is_vector_memory for i in self.instructions):
+        if self._has_memory_op:
             return True  # terminated at the later of the two references
         self._scalar_memory_barrier = True
         return False
 
-    def _pair_reads_of(self, instr: Instruction) -> list[int]:
-        pairs = []
-        for operand in instr.sources:
-            if isinstance(operand, Register) and operand.is_vector:
-                pairs.append(operand.pair_index)
-        return pairs
-
-    def fits(self, instr: Instruction) -> bool:
-        pipe = instr.pipe
-        assert pipe is not None
-        if pipe in self._pipes:
+    def fits(self, op: _VectorOp) -> bool:
+        if op.pipe in self._pipes:
             return False
-        if instr.is_vector_memory and self._scalar_memory_barrier:
+        if op.is_memory and self._scalar_memory_barrier:
             return False  # cannot span the scalar memory reference
         if self.rules.enforce_register_pairs:
             reads = dict(self._pair_reads)
-            for pair in self._pair_reads_of(instr):
+            for pair in op.pair_reads:
                 reads[pair] = reads.get(pair, 0) + 1
                 if reads[pair] > 2:
                     return False
-            for reg in instr.vector_writes:
-                if self._pair_writes.get(reg.pair_index, 0) + 1 > 1:
+            for pair in op.pair_writes:
+                if self._pair_writes.get(pair, 0) + 1 > 1:
                     return False
         return True
 
-    def add(self, instr: Instruction) -> None:
-        pipe = instr.pipe
-        assert pipe is not None
-        self.instructions.append(instr)
-        self._pipes.add(pipe)
-        for pair in self._pair_reads_of(instr):
+    def add(self, op: _VectorOp) -> None:
+        self.ops.append(op)
+        self._pipes.add(op.pipe)
+        self._has_memory_op = self._has_memory_op or op.is_memory
+        for pair in op.pair_reads:
             self._pair_reads[pair] = self._pair_reads.get(pair, 0) + 1
-        for reg in instr.vector_writes:
-            self._pair_writes[reg.pair_index] = (
-                self._pair_writes.get(reg.pair_index, 0) + 1
-            )
+        for pair in op.pair_writes:
+            self._pair_writes[pair] = self._pair_writes.get(pair, 0) + 1
+
+    def chime(self, split: bool) -> Chime:
+        return Chime(
+            instructions=tuple(op.instr for op in self.ops),
+            split_by_scalar_memory=split,
+            timing_keys=tuple(op.timing_key for op in self.ops),
+            has_memory_op=self._has_memory_op,
+        )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ChimePartition:
     """The chimes of one loop iteration, plus diagnostics."""
 
-    chimes: list[Chime]
+    chimes: tuple[Chime, ...]
     scalar_memory_splits: int = 0
     masked_scalar_ops: int = 0
 
@@ -289,29 +332,26 @@ def partition_chimes(
 
     def close(split: bool = False) -> None:
         nonlocal builder
-        if builder.instructions:
-            chimes.append(
-                Chime(builder.instructions, split_by_scalar_memory=split)
-            )
+        if builder.ops:
+            chimes.append(builder.chime(split))
         builder = _ChimeBuilder(rules)
 
     for instr in instructions:
         if not instr.is_vector:
-            if instr.is_scalar_memory:
+            if instr.touches_memory:  # scalar memory
                 if builder.note_scalar_memory():
                     splits += 1
                     close(split=True)
             else:
                 masked += 1
             continue
-        if instr.timing_key is None:
-            raise ScheduleError(
-                f"vector instruction {instr} has no timing class"
-            )
-        if builder.instructions and not builder.fits(instr):
+        op = _classify(instr)
+        if builder.ops and not builder.fits(op):
             close()
-        builder.add(instr)
+        builder.add(op)
     close()
     return ChimePartition(
-        chimes=chimes, scalar_memory_splits=splits, masked_scalar_ops=masked
+        chimes=tuple(chimes),
+        scalar_memory_splits=splits,
+        masked_scalar_ops=masked,
     )

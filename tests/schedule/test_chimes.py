@@ -1,5 +1,7 @@
 """Chime partitioning tests (paper §3.3 rules)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -218,3 +220,26 @@ class TestCosts:
         assert with_refresh == pytest.approx(
             no_refresh + memory_cycles * (REFRESH_FACTOR - 1.0)
         )
+
+
+class TestImmutability:
+    """Partitions are shared between callers, so they cannot change."""
+
+    def test_fields_cannot_be_set(self):
+        partition = partition_chimes(LFK1_BODY)
+        with pytest.raises(FrozenInstanceError):
+            partition.scalar_memory_splits = 1
+        with pytest.raises(FrozenInstanceError):
+            partition.chimes = ()
+        chime = partition.chimes[0]
+        with pytest.raises(FrozenInstanceError):
+            chime.split_by_scalar_memory = True
+        with pytest.raises(FrozenInstanceError):
+            chime.instructions = ()
+
+    def test_sequences_are_tuples(self):
+        partition = partition_chimes(LFK1_BODY)
+        assert isinstance(partition.chimes, tuple)
+        for chime in partition.chimes:
+            assert isinstance(chime.instructions, tuple)
+            assert isinstance(chime.timing_keys, tuple)
