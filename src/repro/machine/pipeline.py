@@ -195,7 +195,10 @@ def run_lowered(
     ``max_instructions`` or the config's ``cycle_budget`` is exhausted
     (the cycle ceiling is checked before each instruction and once more
     on the drained finish time), and :class:`SimulationError` when a
-    vector instruction runs with ``VL <= 0``.
+    vector instruction runs with ``VL <= 0`` or a step faults (a
+    division by zero, or an inf or NaN written to an integer
+    register); the message names the pc and the original exception
+    is chained.
     """
     chaining = config.chaining_enabled
     refresh = config.refresh_enabled
@@ -243,152 +246,160 @@ def run_lowered(
     flops = 0
     n_instructions = len(lowered)
     pc = 0
-    while 0 <= pc < n_instructions:
-        if executed >= max_instructions:
-            watchdog.check_instructions(executed, max_instructions, name)
-        if cycle_budget is not None:
-            watchdog.check_cycles(issue_clock, cycle_budget, name)
-        step, target_pc, vector, scalar = lowered[pc]
-        taken = step()
-        if vector is not None:
-            (pipe, x, y, b, rate, vl_floor, has_mem, reads, dest_v,
-             dest_s, scalar_reads, flop_count, instr) = vector
-            vl = registers.vl
-            if vl <= 0:
-                raise SimulationError(
-                    f"pc {pc}: vector instruction {instr} executed with "
-                    f"VL={vl}"
-                )
-            # in-order dispatch; one-deep per-pipe reservation
-            dispatch = issue_clock
-            if pipe_reserved[pipe] > dispatch:
-                dispatch = pipe_reserved[pipe]
-            for slot in scalar_reads:
-                if ready[slot] > dispatch:
-                    dispatch = ready[slot]
-            issue_clock = start = dispatch + x
-            # element streaming start
-            if pipe_input[pipe] > start:
-                start = pipe_input[pipe]
-            if has_mem and port_free > start:
-                start = port_free
-            # Chained consumers start on the producer's first element;
-            # without chaining they wait for the full stream to land.
-            for v in reads:
-                t = stream_first[v] if chaining else stream_end[v]
-                if t > start:
-                    start = t
-            if dest_v >= 0:
-                # WAR: the writer's elements chase the reader's —
-                # element i is overwritten at start + Y + i*rate and
-                # must land after the reader consumed it at
-                # reader_start + i*reader_rate.  Chasing is only safe
-                # when the writer is no faster than the reader;
-                # otherwise wait for the reader to start and add its
-                # full sweep.
-                if rate >= read_rate[dest_v]:
-                    t = read_start[dest_v] - y + 1.0
-                else:
-                    t = read_start[dest_v] + vl * read_rate[dest_v]
-                if t > start:
-                    start = t
-                # WAW: preserve element write ordering.
-                t = stream_first[dest_v] - y
-                if t > start:
-                    start = t
-            start += b
-            # rate coupling with still-streaming producers
-            for v in reads:
-                if start < stream_end[v] and stream_rate[v] > rate:
-                    rate = stream_rate[v]
-            span = (vl if vl >= vl_floor else vl_floor) * rate
-            if has_mem and refresh:
-                stall = refresh_stall(start, start + span)
-                if stall:
-                    # Spread the stall across the stream so chained
-                    # consumers (which adopt the producer's rate)
-                    # inherit the refresh delay too.
-                    span += stall
-                    rate = span / vl
-            first_result = start + y
-            complete = first_result + span
-            # state updates
-            pipe_input[pipe] = start + span
-            pipe_reserved[pipe] = start
-            if has_mem:
-                port_free = start + span
-                vector_memory += 1
-            for v in reads:
-                if start >= read_start[v]:
-                    read_start[v] = start
-                    read_rate[v] = rate
-            if dest_v >= 0:
-                stream_first[dest_v] = first_result
-                stream_rate[dest_v] = rate
-                stream_end[dest_v] = complete
-            elif dest_s >= 0:
-                # a reduction writes a scalar when all elements are in
-                ready[dest_s] = complete
-            if complete > last_complete:
-                last_complete = complete
-            vector_count += 1
-            flops += flop_count * vl
-            if record_trace:
-                trace.append(InstructionTiming(
-                    pc, instr, dispatch, start, first_result, complete,
-                    vl, _PIPES[pipe],
-                ))
-        else:
-            (scalar_reads, scalar_writes, is_branch, is_compare,
-             memory_kind, base_idx, offset, instr) = scalar
-            dispatch = issue_clock
-            for slot in scalar_reads:
-                if ready[slot] > dispatch:
-                    dispatch = ready[slot]
-            if is_branch and flag_ready > dispatch:
-                dispatch = flag_ready
-            if memory_kind:
-                # The single CPU<->memory port: wait for any vector
-                # stream to drain, then take a one-cycle access slot
-                # (this is what terminates chimes at scalar memory
-                # references, §3.3).
-                start = dispatch if dispatch >= port_free else port_free
-                if refresh:
-                    start = stall_scalar_access(start)
-                port_free = start + 1.0
-                if memory_kind == _STORE:
-                    complete = start + 1.0
-                elif cache is None:
-                    complete = start + load_latency
-                else:
-                    # Vector streams bypass the cache (paper §2), so
-                    # only scalar loads consult it.
-                    word = (int(registers.a[base_idx]) + offset) // 8
-                    complete = start + (
-                        hit_latency if cache.load(word) else miss_latency
+    try:
+        while 0 <= pc < n_instructions:
+            if executed >= max_instructions:
+                watchdog.check_instructions(executed, max_instructions, name)
+            if cycle_budget is not None:
+                watchdog.check_cycles(issue_clock, cycle_budget, name)
+            step, target_pc, vector, scalar = lowered[pc]
+            taken = step()
+            if vector is not None:
+                (pipe, x, y, b, rate, vl_floor, has_mem, reads, dest_v,
+                 dest_s, scalar_reads, flop_count, instr) = vector
+                vl = registers.vl
+                if vl <= 0:
+                    raise SimulationError(
+                        f"pc {pc}: vector instruction {instr} executed with "
+                        f"VL={vl}"
                     )
-                issue_clock = start + issue
-                scalar_memory += 1
+                # in-order dispatch; one-deep per-pipe reservation
+                dispatch = issue_clock
+                if pipe_reserved[pipe] > dispatch:
+                    dispatch = pipe_reserved[pipe]
+                for slot in scalar_reads:
+                    if ready[slot] > dispatch:
+                        dispatch = ready[slot]
+                issue_clock = start = dispatch + x
+                # element streaming start
+                if pipe_input[pipe] > start:
+                    start = pipe_input[pipe]
+                if has_mem and port_free > start:
+                    start = port_free
+                # Chained consumers start on the producer's first element;
+                # without chaining they wait for the full stream to land.
+                for v in reads:
+                    t = stream_first[v] if chaining else stream_end[v]
+                    if t > start:
+                        start = t
+                if dest_v >= 0:
+                    # WAR: the writer's elements chase the reader's —
+                    # element i is overwritten at start + Y + i*rate and
+                    # must land after the reader consumed it at
+                    # reader_start + i*reader_rate.  Chasing is only safe
+                    # when the writer is no faster than the reader;
+                    # otherwise wait for the reader to start and add its
+                    # full sweep.
+                    if rate >= read_rate[dest_v]:
+                        t = read_start[dest_v] - y + 1.0
+                    else:
+                        t = read_start[dest_v] + vl * read_rate[dest_v]
+                    if t > start:
+                        start = t
+                    # WAW: preserve element write ordering.
+                    t = stream_first[dest_v] - y
+                    if t > start:
+                        start = t
+                start += b
+                # rate coupling with still-streaming producers
+                for v in reads:
+                    if start < stream_end[v] and stream_rate[v] > rate:
+                        rate = stream_rate[v]
+                span = (vl if vl >= vl_floor else vl_floor) * rate
+                if has_mem and refresh:
+                    stall = refresh_stall(start, start + span)
+                    if stall:
+                        # Spread the stall across the stream so chained
+                        # consumers (which adopt the producer's rate)
+                        # inherit the refresh delay too.
+                        span += stall
+                        rate = span / vl
+                first_result = start + y
+                complete = first_result + span
+                # state updates
+                pipe_input[pipe] = start + span
+                pipe_reserved[pipe] = start
+                if has_mem:
+                    port_free = start + span
+                    vector_memory += 1
+                for v in reads:
+                    if start >= read_start[v]:
+                        read_start[v] = start
+                        read_rate[v] = rate
+                if dest_v >= 0:
+                    stream_first[dest_v] = first_result
+                    stream_rate[dest_v] = rate
+                    stream_end[dest_v] = complete
+                elif dest_s >= 0:
+                    # a reduction writes a scalar when all elements are in
+                    ready[dest_s] = complete
+                if complete > last_complete:
+                    last_complete = complete
+                vector_count += 1
+                flops += flop_count * vl
+                if record_trace:
+                    trace.append(InstructionTiming(
+                        pc, instr, dispatch, start, first_result, complete,
+                        vl, _PIPES[pipe],
+                    ))
             else:
-                start = dispatch
-                complete = dispatch + issue
-                issue_clock = complete
-                if taken:
-                    issue_clock += branch_penalty
-            if is_compare:
-                flag_ready = complete
-            for slot in scalar_writes:
-                ready[slot] = complete
-            if complete > last_complete:
-                last_complete = complete
-            scalar_count += 1
-            if record_trace:
-                trace.append(InstructionTiming(
-                    pc, instr, dispatch, start, complete, complete,
-                    vl=0, pipe=None,
-                ))
-        executed += 1
-        pc = target_pc if taken else pc + 1
+                (scalar_reads, scalar_writes, is_branch, is_compare,
+                 memory_kind, base_idx, offset, instr) = scalar
+                dispatch = issue_clock
+                for slot in scalar_reads:
+                    if ready[slot] > dispatch:
+                        dispatch = ready[slot]
+                if is_branch and flag_ready > dispatch:
+                    dispatch = flag_ready
+                if memory_kind:
+                    # The single CPU<->memory port: wait for any vector
+                    # stream to drain, then take a one-cycle access slot
+                    # (this is what terminates chimes at scalar memory
+                    # references, §3.3).
+                    start = dispatch if dispatch >= port_free else port_free
+                    if refresh:
+                        start = stall_scalar_access(start)
+                    port_free = start + 1.0
+                    if memory_kind == _STORE:
+                        complete = start + 1.0
+                    elif cache is None:
+                        complete = start + load_latency
+                    else:
+                        # Vector streams bypass the cache (paper §2), so
+                        # only scalar loads consult it.
+                        word = (int(registers.a[base_idx]) + offset) // 8
+                        complete = start + (
+                            hit_latency if cache.load(word) else miss_latency
+                        )
+                    issue_clock = start + issue
+                    scalar_memory += 1
+                else:
+                    start = dispatch
+                    complete = dispatch + issue
+                    issue_clock = complete
+                    if taken:
+                        issue_clock += branch_penalty
+                if is_compare:
+                    flag_ready = complete
+                for slot in scalar_writes:
+                    ready[slot] = complete
+                if complete > last_complete:
+                    last_complete = complete
+                scalar_count += 1
+                if record_trace:
+                    trace.append(InstructionTiming(
+                        pc, instr, dispatch, start, complete, complete,
+                        vl=0, pipe=None,
+                    ))
+            executed += 1
+            pc = target_pc if taken else pc + 1
+    except (ArithmeticError, ValueError) as exc:
+        # A step divided by zero, or converted an inf or NaN element
+        # into an integer register.
+        instr = (vector if vector is not None else scalar)[-1]
+        raise SimulationError(
+            f"{name}: pc {pc}: {instr} faulted: {exc}"
+        ) from exc
 
     # when everything in flight has drained
     cycles = max(issue_clock, last_complete, port_free, *pipe_input)

@@ -122,3 +122,39 @@ class TestTimingSanity:
         )
         assert result.cycles >= 900
         assert result.cycles < 1300  # but within ~40% of the port bound
+
+
+#: (program, faulting pc, the exception the faulting step raised)
+FAULTS = {
+    "scalar-divide-by-zero": (
+        "mov.l #0,s1\nmov.l #3,s2\ndiv.d s1,s2", 2, ZeroDivisionError,
+    ),
+    "address-divide-by-zero": (
+        "mov.l #0,a1\nmov.l #3,a2\ndiv.w a1,a2", 2, ZeroDivisionError,
+    ),
+    # v1 is all zeros: 0/0 leaves NaN in element 0
+    "nan-into-vl": ("mov.l #0,VS\ndiv.l v1,VS,VL", 1, ValueError),
+    "inf-into-vl": (
+        "mov.l #1,s1\nadd.d v0,s1,v1\nmov.l #0,VS\ndiv.l v1,VS,VL",
+        3, OverflowError,
+    ),
+}
+
+
+class TestFaults:
+    """A faulting instruction surfaces as a typed SimulationError that
+    names its pc and chains the original exception."""
+
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_simulator_run(self, case):
+        text, pc, cause = FAULTS[case]
+        with pytest.raises(SimulationError, match=f"pc {pc}:") as info:
+            Simulator(parse_program(text)).run()
+        assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("case", sorted(FAULTS))
+    def test_run_program(self, case):
+        text, pc, cause = FAULTS[case]
+        with pytest.raises(SimulationError, match=f"pc {pc}:") as info:
+            run_program(parse_program(text))
+        assert isinstance(info.value.__cause__, cause)
