@@ -130,19 +130,19 @@ class TestFailover:
     def test_killed_owner_fails_over_byte_identically(self, tmp_path):
         fleet = Fleet(str(tmp_path), 3, mode="thread").start()
         try:
-            client = fleet.client(
+            with fleet.client(
                 retry=RetryPolicy.immediate(retries=2)
-            )
-            key = canonicalize("advise", {"kernel": "lfk12"}).key
-            victim = client.ring.owner(key)
-            warm = client.request("advise", {"kernel": "lfk12"})
-            assert warm.ok
-            fleet.partition(victim)
-            after = client.request("advise", {"kernel": "lfk12"})
-            assert after.ok
-            assert after.canonical_text() == warm.canonical_text()
-            assert client.stats()["failovers"] >= 1
-            assert victim in client.stats()["down"]
+            ) as client:
+                key = canonicalize("advise", {"kernel": "lfk12"}).key
+                victim = client.ring.owner(key)
+                warm = client.request("advise", {"kernel": "lfk12"})
+                assert warm.ok
+                fleet.partition(victim)
+                after = client.request("advise", {"kernel": "lfk12"})
+                assert after.ok
+                assert after.canonical_text() == warm.canonical_text()
+                assert client.stats()["failovers"] >= 1
+                assert victim in client.stats()["down"]
         finally:
             fleet.stop()
 
@@ -150,26 +150,26 @@ class TestFailover:
         """The successor serves a killed owner's keys from L2."""
         fleet = Fleet(str(tmp_path), 3, mode="thread").start()
         try:
-            client = fleet.client(
+            with fleet.client(
                 retry=RetryPolicy.immediate(retries=2)
-            )
-            key = canonicalize("advise", {"kernel": "wave1d"}).key
-            victim = client.ring.owner(key)
-            client.request("advise", {"kernel": "wave1d"})
-            fleet.partition(victim)
-            response = client.request(
-                "advise", {"kernel": "wave1d"}
-            )
-            assert response.ok
-            successors = [
-                name for name in client.ring.owners(key, 3)
-                if name != victim
-            ]
-            l2_hits = 0
-            for name in successors:
-                shards = fleet.metrics(name).get("shards", {})
-                l2_hits += shards.get(name, {}).get("l2_hits", 0)
-            assert l2_hits >= 1
+            ) as client:
+                key = canonicalize("advise", {"kernel": "wave1d"}).key
+                victim = client.ring.owner(key)
+                client.request("advise", {"kernel": "wave1d"})
+                fleet.partition(victim)
+                response = client.request(
+                    "advise", {"kernel": "wave1d"}
+                )
+                assert response.ok
+                successors = [
+                    name for name in client.ring.owners(key, 3)
+                    if name != victim
+                ]
+                l2_hits = 0
+                for name in successors:
+                    shards = fleet.metrics(name).get("shards", {})
+                    l2_hits += shards.get(name, {}).get("l2_hits", 0)
+                assert l2_hits >= 1
         finally:
             fleet.stop()
 
