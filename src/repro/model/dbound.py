@@ -52,7 +52,7 @@ class MacsDBound:
 
 
 def _chime_rate(
-    instructions: list[Instruction],
+    instructions: tuple[Instruction, ...],
     timings: TimingTable,
     memory: MemorySystem,
 ) -> tuple[float, float]:
