@@ -41,13 +41,24 @@ digests its canonical payload with the same
 :func:`~repro.sweep.spec.digest`.  Two requests with the same key
 compute the same result — that is the contract single-flight dedup and
 the result cache are built on.
+
+Each process derives a given (kind, params) once: :func:`canonicalize`
+keeps the validated :class:`Request` in a bounded LRU keyed by a
+digest of ``json.dumps([kind, params], sort_keys=True)``, and a repeat
+returns the stored request.  Malformed requests raise on every
+call and are never stored; ``clear_caches()`` (in
+:mod:`repro.workloads.runner`) empties the memo, so forked workers
+start without it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..compiler.options import DEFAULT_OPTIONS, CompilerOptions, ReductionStyle
@@ -248,6 +259,8 @@ class Request:
     ``payload`` is the small, picklable, JSON-able dict shipped to the
     worker (:func:`repro.service.jobs.execute_request`); ``key`` is its
     content digest.  Identical payloads always produce identical keys.
+    :func:`canonicalize` hands the same instance to every caller with
+    the same (kind, params), so treat ``payload`` as read-only.
     """
 
     kind: str
@@ -349,12 +362,105 @@ def _inject_payload(params: dict) -> dict:
     }}
 
 
+#: Most canonicalized requests one process keeps (about 0.7 KB each).
+REQUEST_MEMO_MAX = 1024
+
+#: The exact leaf types ``json.loads`` produces.
+_JSON_LEAVES = (str, int, float, bool, type(None))
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+class _RequestMemo:
+    """An LRU of :class:`Request` keyed by a (kind, params) digest."""
+
+    __slots__ = ("entries", "lock")
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[bytes, Request] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key: bytes) -> Request | None:
+        with self.lock:
+            hit = self.entries.get(key)
+            if hit is not None:
+                self.entries.move_to_end(key)
+            return hit
+
+    def put(self, key: bytes, request: Request) -> None:
+        with self.lock:
+            self.entries[key] = request
+            if len(self.entries) > REQUEST_MEMO_MAX:
+                self.entries.popitem(last=False)
+
+
+_memo = _RequestMemo()
+
+
+def clear_request_memo() -> None:
+    """Drop every memoized request (``clear_caches`` calls this).
+
+    The memo is replaced, not emptied under its lock: in a child forked
+    while another thread held that lock, acquiring it would never
+    return.
+    """
+    global _memo
+    _memo = _RequestMemo()
+
+
+def _is_plain_json(value) -> bool:
+    """Whether ``value`` is made only of the exact types ``json.loads``
+    returns.  A tuple, or a ``str``/``int`` subclass, encodes like its
+    plain twin but does not validate like it, so it must not share the
+    twin's memo entry."""
+    kind = type(value)
+    if kind is dict:
+        for name, item in value.items():
+            if type(name) is not str or not _is_plain_json(item):
+                return False
+        return True
+    if kind is list:
+        for item in value:
+            if not _is_plain_json(item):
+                return False
+        return True
+    return kind in _JSON_LEAVES
+
+
+def _memo_key(kind: str, params) -> bytes | None:
+    """The memo key of a request, or None to take the uncached path."""
+    if type(kind) is not str:
+        return None
+    try:
+        if not _is_plain_json(params):
+            return None
+        text = _KEY_ENCODER.encode([kind, params])
+    except RecursionError:  # nested too deep, or circular
+        return None
+    return hashlib.blake2b(text.encode("ascii"), digest_size=16).digest()
+
+
 def canonicalize(kind: str, params: dict) -> Request:
     """Validate and canonicalize one compute request.
 
     Raises :class:`ProtocolError` (a ``usage`` error) on anything
     malformed, *before* the request consumes queue or worker capacity.
+    A (kind, params) seen before in this process returns the request
+    derived the first time; errors are raised on every call.
     """
+    key = _memo_key(kind, params)
+    if key is None:
+        return _derive_request(kind, params)
+    memo = _memo
+    request = memo.get(key)
+    if request is None:
+        request = _derive_request(kind, params)
+        memo.put(key, request)
+    return request
+
+
+def _derive_request(kind: str, params: dict) -> Request:
+    """:func:`canonicalize` without the memo."""
     if kind not in REQUEST_KINDS:
         raise ProtocolError(
             f"unknown request kind {kind!r}; compute kinds: "
