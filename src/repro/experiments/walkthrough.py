@@ -35,7 +35,7 @@ def run_walkthrough() -> ExperimentResult:
         )
     with_refresh = total * REFRESH_FACTOR
     bound = macs_bound(compiled.program)
-    run = run_kernel(spec, compiled=compiled)
+    run = run_kernel(spec)
     lines.extend(
         [
             "",

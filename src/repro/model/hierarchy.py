@@ -251,7 +251,7 @@ def analyze_kernel(
         macs_m=macs_m,
     )
     if measure:
-        run = run_kernel(spec, options, config, compiled=compiled)
+        run = run_kernel(spec, options, config)
         analysis.t_p_cpl = run.cpl()
         analysis.ax = measure_ax(spec, compiled, config)
     return analysis

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.machine import DEFAULT_CONFIG, Simulator
 from repro.model import analyze_kernel, render_hierarchy, workload_hmean_mflops
-from repro.workloads import CASE_STUDY_KERNELS
+from repro.sweep.spec import OPTION_VARIANTS
+from repro.workloads import (
+    CASE_STUDY_KERNELS, clear_caches, run_kernel, workload,
+)
 
 
 class TestHierarchyInvariants:
@@ -64,6 +68,36 @@ class TestAnalyzeKernelOptions:
     def test_standard_n_accepted(self):
         analysis = analyze_kernel("lfk1", n=1001, measure=False)
         assert analysis.spec.number == 1
+
+
+class TestRunMemo:
+    def test_t_p_comes_from_the_run_memo(self, monkeypatch):
+        """A kernel already run is not simulated again for ``t_p``;
+        only the A- and X-process runs are new, and a repeat runs
+        nothing."""
+        runs = []
+        simulate = Simulator.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(self.program)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting)
+        spec = workload("lfk7")
+        options = OPTION_VARIANTS["reuse"]
+        config = DEFAULT_CONFIG.without_refresh()
+        clear_caches()
+        try:
+            run = run_kernel(spec, options, config)
+            assert len(runs) == 1
+            analysis = analyze_kernel(spec, options=options, config=config)
+            assert len(runs) == 3  # t_a and t_x
+            assert analysis.t_p_cpl == run.cpl()
+            again = analyze_kernel(spec, options=options, config=config)
+            assert len(runs) == 3
+            assert again.t_p_cpl == run.cpl()
+        finally:
+            clear_caches()
 
 
 class TestDiagnostics:
