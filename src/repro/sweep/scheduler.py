@@ -577,6 +577,24 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
             executor.shutdown(wait=False, cancel_futures=True)
         executor = ProcessPoolExecutor(max_workers=jobs)
 
+    def pool_died(crashed: list) -> None:
+        """The pool broke: every in-flight task died with it, and none
+        of them can be blamed yet."""
+        crashed.extend(item for item, _submitted in in_flight.values())
+        in_flight.clear()
+        if len(crashed) == 1:
+            # Only one suspect: it is the culprit.
+            retry_or_fail(crashed[0], "worker process died", "worker_crash")
+        else:
+            telemetry.emit(
+                "worker_crash",
+                tasks=[item.task.label for item in crashed],
+                error="worker process died; re-running "
+                "affected tasks one at a time",
+            )
+            probation.extend(crashed)
+        rebuild_pool()
+
     try:
         while pending or probation or in_flight:
             if deadline.expired():
@@ -595,16 +613,27 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
             window = 1 if probation else jobs
             queue = probation if probation else pending
             submitted = False
+            broken = False
             while queue and len(in_flight) < window:
                 if queue[0].ready_at > time.monotonic():
                     break  # head is backing off; let in-flight drain
                 item = queue.popleft()
-                future = executor.submit(
-                    execute_task, item.task, item.attempt,
-                    faults.get(item.index)
-                )
+                try:
+                    future = executor.submit(
+                        execute_task, item.task, item.attempt,
+                        faults.get(item.index)
+                    )
+                except BrokenProcessPool:
+                    # A worker died since the last wait(); this item
+                    # never ran, so it goes back uncharged.
+                    queue.appendleft(item)
+                    broken = True
+                    break
                 in_flight[future] = (item, time.monotonic())
                 submitted = True
+            if broken:
+                pool_died([])
+                continue
             if not in_flight:
                 if not submitted:
                     time.sleep(0.01)  # everything is backing off
@@ -626,27 +655,7 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
                         "task_error",
                     )
             if crashed:
-                # The pool died; every remaining in-flight task died
-                # with it and none of them can be blamed yet.
-                crashed.extend(
-                    item for item, _submitted in in_flight.values()
-                )
-                in_flight.clear()
-                if len(crashed) == 1:
-                    # Only one suspect: it is the culprit.
-                    retry_or_fail(
-                        crashed[0], "worker process died",
-                        "worker_crash",
-                    )
-                else:
-                    telemetry.emit(
-                        "worker_crash",
-                        tasks=[item.task.label for item in crashed],
-                        error="worker process died; re-running "
-                        "affected tasks one at a time",
-                    )
-                    probation.extend(crashed)
-                rebuild_pool()
+                pool_died(crashed)
                 continue
             if timeout is None:
                 continue

@@ -2,9 +2,12 @@
 exit, or hang, retry up to the bound, and record everything in the
 trace."""
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from repro.sweep import SweepTask, run_sweep
+from repro.sweep import SweepTask, run_sweep, scheduler
 from repro.sweep.telemetry import read_trace
 
 TASKS = [SweepTask("lfk12"), SweepTask("lfk1")]
@@ -71,6 +74,32 @@ class TestParallelFaults:
         ]
         crashes = events_of(trace, "worker_crash")
         assert crashes, "pool break must be recorded in the trace"
+        assert events_of(trace, "sweep_end")[0]["failed"] == 0
+
+    @pytest.mark.parametrize("broken_submit", [1, 3])
+    def test_submit_to_a_broken_pool_recovers(self, tmp_path, monkeypatch,
+                                              broken_submit):
+        """A worker that dies between two ``wait()`` calls breaks the
+        pool before the next ``submit``; that submit raises
+        ``BrokenProcessPool``, which must be attributed, not escape."""
+        submits = []
+
+        class BreaksOnce(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                if len(submits) == broken_submit:
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", BreaksOnce)
+        trace = tmp_path / "trace.jsonl"
+        tasks = TASKS + [SweepTask("lfk3")]
+        result = run_sweep(tasks, jobs=2, retries=2, trace=str(trace))
+        assert all(o.ok for o in result.outcomes), [
+            (o.label, o.status, o.error) for o in result.outcomes
+        ]
+        assert len(submits) > broken_submit
+        assert events_of(trace, "worker_crash")
         assert events_of(trace, "sweep_end")[0]["failed"] == 0
 
     def test_worker_hang_times_out_and_recovers(self, tmp_path):
