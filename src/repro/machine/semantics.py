@@ -384,8 +384,9 @@ def _float_getter(spec, regfile: RegisterFile) -> Callable[[], float]:
 
 def _setter(spec, regfile: RegisterFile) -> Callable[[Any], None]:
     """Scalar register write: int into an address register or VS,
-    float into a scalar register; VL clamps to ``[0, max_vl]``, as
-    :meth:`RegisterFile.write` does."""
+    float into a scalar register; VL clamps to ``[0, max_vl]`` (the
+    strip-mined loops move the remaining trip count into VL and rely on
+    that clamp for full strips)."""
     kind, payload = spec
     if kind == K_A:
         a = regfile.a

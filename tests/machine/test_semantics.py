@@ -5,7 +5,6 @@ its step applied once."""
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
 from repro.isa import (
     Immediate,
     Instruction,
@@ -46,7 +45,7 @@ class TestScalarOps:
     def test_mov_immediate(self, env):
         regfile, *_ = env
         run(Instruction("mov", (Immediate(42), sreg(0)), suffix="w"), env)
-        assert regfile.read(sreg(0)) == 42.0
+        assert regfile.s[0] == 42.0
 
     def test_mov_to_vl_clamps(self, env):
         regfile, *_ = env
@@ -57,49 +56,49 @@ class TestScalarOps:
 
     def test_accumulate_add(self, env):
         regfile, *_ = env
-        regfile.write(areg(5), 100)
+        regfile.a[5] = 100
         run(Instruction("add", (Immediate(24), areg(5)), suffix="w"), env)
-        assert regfile.read(areg(5)) == 124
+        assert regfile.a[5] == 124
 
     def test_accumulate_sub_order(self, env):
         regfile, *_ = env
-        regfile.write(sreg(0), 10.0)
+        regfile.s[0] = 10.0
         run(Instruction("sub", (Immediate(3), sreg(0)), suffix="w"), env)
-        assert regfile.read(sreg(0)) == 7.0  # dst := dst - src
+        assert regfile.s[0] == 7.0  # dst := dst - src
 
     def test_accumulate_div_order(self, env):
         regfile, *_ = env
-        regfile.write(sreg(0), 12.0)
+        regfile.s[0] = 12.0
         run(Instruction("div", (Immediate(4), sreg(0)), suffix="d"), env)
-        assert regfile.read(sreg(0)) == 3.0
+        assert regfile.s[0] == 3.0
 
     def test_integer_division_truncates(self, env):
         regfile, *_ = env
-        regfile.write(areg(1), 101)
+        regfile.a[1] = 101
         run(Instruction("div", (Immediate(2), areg(1)), suffix="w"), env)
-        assert regfile.read(areg(1)) == 50
+        assert regfile.a[1] == 50
 
     def test_three_operand_sub(self, env):
         regfile, *_ = env
-        regfile.write(sreg(1), 10.0)
-        regfile.write(sreg(2), 4.0)
+        regfile.s[1] = 10.0
+        regfile.s[2] = 4.0
         run(
             Instruction("sub", (sreg(1), sreg(2), sreg(3)), suffix="d"),
             env,
         )
-        assert regfile.read(sreg(3)) == 6.0
+        assert regfile.s[3] == 6.0
 
     def test_scalar_neg(self, env):
         regfile, *_ = env
-        regfile.write(sreg(1), 2.5)
+        regfile.s[1] = 2.5
         run(Instruction("neg", (sreg(1), sreg(2)), suffix="d"), env)
-        assert regfile.read(sreg(2)) == -2.5
+        assert regfile.s[2] == -2.5
 
 
 class TestCompareBranch:
     def test_lt_sets_flag(self, env):
         regfile, *_ = env
-        regfile.write(sreg(0), 5.0)
+        regfile.s[0] = 5.0
         run(Instruction("lt", (Immediate(0), sreg(0)), suffix="w"), env)
         assert regfile.flag is True
         run(Instruction("lt", (sreg(0), Immediate(0)), suffix="w"), env)
@@ -137,7 +136,7 @@ class TestMemoryOps:
             ),
             env,
         )
-        assert regfile.read(sreg(2)) == 9.0
+        assert regfile.s[2] == 9.0
         run(
             Instruction(
                 "st", (sreg(2), MemRef(areg(0), 24)), suffix="l"
@@ -157,12 +156,12 @@ class TestMemoryOps:
         regfile.vl = 4
         run(Instruction("ld", (MemRef(areg(0)), vreg(0)), suffix="l"),
             env)
-        assert list(regfile.read_vector(vreg(0))) == [0, 1, 2, 3]
+        assert list(regfile.v[0, :regfile.vl]) == [0, 1, 2, 3]
 
     def test_strided_vector_store(self, env):
         regfile, memory, layout = env
         regfile.vl = 3
-        regfile.write_vector(vreg(1), np.array([7.0, 8.0, 9.0]))
+        regfile.v[1, :regfile.vl] = np.array([7.0, 8.0, 9.0])
         run(
             Instruction(
                 "st",
@@ -180,51 +179,45 @@ class TestVectorArithmetic:
     def test_vector_add(self, env):
         regfile, *_ = env
         regfile.vl = 4
-        regfile.write_vector(vreg(0), np.array([1.0, 2, 3, 4]))
-        regfile.write_vector(vreg(1), np.array([10.0, 20, 30, 40]))
+        regfile.v[0, :regfile.vl] = np.array([1.0, 2, 3, 4])
+        regfile.v[1, :regfile.vl] = np.array([10.0, 20, 30, 40])
         run(Instruction("add", (vreg(0), vreg(1), vreg(2)), suffix="d"),
             env)
-        assert list(regfile.read_vector(vreg(2))) == [11, 22, 33, 44]
+        assert list(regfile.v[2, :regfile.vl]) == [11, 22, 33, 44]
 
     def test_vector_scalar_broadcast(self, env):
         regfile, *_ = env
         regfile.vl = 3
-        regfile.write(sreg(1), 2.0)
-        regfile.write_vector(vreg(0), np.array([1.0, 2, 3]))
+        regfile.s[1] = 2.0
+        regfile.v[0, :regfile.vl] = np.array([1.0, 2, 3])
         run(Instruction("mul", (sreg(1), vreg(0), vreg(2)), suffix="d"),
             env)
-        assert list(regfile.read_vector(vreg(2))) == [2, 4, 6]
+        assert list(regfile.v[2, :regfile.vl]) == [2, 4, 6]
 
     def test_vector_neg(self, env):
         regfile, *_ = env
         regfile.vl = 2
-        regfile.write_vector(vreg(0), np.array([1.0, -2.0]))
+        regfile.v[0, :regfile.vl] = np.array([1.0, -2.0])
         run(Instruction("neg", (vreg(0), vreg(3)), suffix="d"), env)
-        assert list(regfile.read_vector(vreg(3))) == [-1.0, 2.0]
+        assert list(regfile.v[3, :regfile.vl]) == [-1.0, 2.0]
 
     def test_sum_reduction(self, env):
         regfile, *_ = env
         regfile.vl = 5
-        regfile.write_vector(vreg(0), np.arange(5, dtype=float))
+        regfile.v[0, :regfile.vl] = np.arange(5, dtype=float)
         run(Instruction("sum", (vreg(0), sreg(3)), suffix="d"), env)
-        assert regfile.read(sreg(3)) == 10.0
+        assert regfile.s[3] == 10.0
 
     def test_sum_respects_vl(self, env):
         regfile, *_ = env
         regfile.vl = 128
-        regfile.write_vector(vreg(0), np.ones(128))
+        regfile.v[0, :regfile.vl] = np.ones(128)
         regfile.vl = 3
         run(Instruction("sum", (vreg(0), sreg(3)), suffix="d"), env)
-        assert regfile.read(sreg(3)) == 3.0
+        assert regfile.s[3] == 3.0
 
 
 class TestRegisterFile:
-    def test_vector_write_length_checked(self):
-        regfile = RegisterFile()
-        regfile.vl = 4
-        with pytest.raises(SimulationError):
-            regfile.write_vector(vreg(0), np.zeros(3))
-
     def test_prime_vectors_distinct_nonzero(self):
         regfile = RegisterFile()
         regfile.prime_vectors()
