@@ -21,19 +21,18 @@ Entry points: :func:`analyze_program` (memoized CFG + dataflow),
 :func:`lint_program`, :func:`static_counts`,
 :func:`static_critical_path`, and
 :func:`~repro.analysis.staticpred.predict_program`.  The memo is
-keyed by program identity
-and dropped by :func:`clear_analysis_cache` (wired into
-``repro.workloads.clear_caches``).
+keyed by program identity and emptied by
+``repro.workloads.clear_caches``.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..isa.program import Program
 from ..isa.registers import VECTOR_REGISTER_LENGTH
+from ..memo import Memo
 from .cfg import CFG, BasicBlock, Loop, build_cfg
 from .checks import (
     DEFAULT_LINT_OPTIONS,
@@ -69,7 +68,6 @@ __all__ = [
     "StripInfo",
     "analyze_program",
     "build_cfg",
-    "clear_analysis_cache",
     "find_strip_loop",
     "lint_program",
     "predict_program",
@@ -91,32 +89,21 @@ class ProgramAnalysis:
         return find_strip_loop(self.cfg, self.dataflow)
 
 
-_ANALYSIS_CACHE: "weakref.WeakKeyDictionary[Program, ProgramAnalysis]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Solved analyses, keyed on the program object.
+_ANALYSIS_MEMO: Memo[Program, ProgramAnalysis] = Memo("analysis", 512)
 
 
 def analyze_program(program: Program) -> ProgramAnalysis:
     """Build (or fetch the cached) CFG and dataflow solution."""
-    cached = _ANALYSIS_CACHE.get(program)
+    cached = _ANALYSIS_MEMO.get(program)
     if cached is not None:
         return cached
     cfg = build_cfg(program)
     analysis = ProgramAnalysis(
         program=program, cfg=cfg, dataflow=solve(cfg)
     )
-    _ANALYSIS_CACHE[program] = analysis
+    _ANALYSIS_MEMO.put(program, analysis)
     return analysis
-
-
-def clear_analysis_cache() -> None:
-    """Drop all memoized program analyses."""
-    _ANALYSIS_CACHE.clear()
-
-
-def analysis_cache_size() -> int:
-    """Number of programs currently memoized (for cache tests)."""
-    return len(_ANALYSIS_CACHE)
 
 
 def lint_program(

@@ -526,7 +526,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         client_limit=args.client_limit,
-        cache_path=args.cache,
         cache_max=args.cache_max,
         default_deadline_s=args.deadline,
         job_timeout_s=args.job_timeout,
@@ -980,12 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="max in-flight requests per connection (default 8)",
     )
     serve_cmd.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="durable result-cache log; recovered on restart",
-    )
-    serve_cmd.add_argument(
         "--cache-max", type=int, default=512, metavar="N",
-        help="result-cache entry bound (default 512)",
+        help="in-memory L1 result-cache entry bound (default 512)",
     )
     serve_cmd.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -186,7 +186,8 @@ class FleetClient:
     def request(self, kind: str, params: dict | None = None, *,
                 deadline_s: float | None = None) -> Response:
         """Send one request to the fleet, failing over as needed."""
-        params = dict(params or {})
+        if params is None:
+            params = {}
         request = canonicalize(kind, params)
         self.requests += 1
         attempt = 0

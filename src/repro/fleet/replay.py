@@ -57,6 +57,16 @@ DEFAULT_VARIANTS = ("default", "reuse", "tight-sregs",
 _VIABLE: dict[str, bool] = {}
 
 
+def _frame_params(frame: dict):
+    """A frame's params: ``{}`` only when they are missing or null.
+
+    Anything else goes to :func:`canonicalize` as it is, so a non-object
+    is the ``usage`` error "'params' must be an object", never ``{}``.
+    """
+    params = frame.get("params")
+    return {} if params is None else params
+
+
 def _frame_viable(kind: str, params: dict) -> bool:
     key = canonicalize(kind, dict(params)).key
     if key not in _VIABLE:
@@ -146,8 +156,7 @@ def record_burst(path: str, frames: list[dict]) -> None:
     lines = []
     for frame in frames:
         try:
-            canonicalize(frame["kind"],
-                         dict(frame.get("params") or {}))
+            canonicalize(frame["kind"], _frame_params(frame))
         except ProtocolError as exc:
             raise ExperimentError(
                 f"unrecordable frame {frame}: {exc}"
@@ -181,8 +190,7 @@ def load_burst(path: str) -> list[dict]:
                     f"{path}:{number}: frame needs a 'kind'"
                 )
             try:
-                canonicalize(frame["kind"],
-                             dict(frame.get("params") or {}))
+                canonicalize(frame["kind"], _frame_params(frame))
             except ProtocolError as exc:
                 raise ExperimentError(
                     f"{path}:{number}: invalid frame: {exc}"
@@ -257,8 +265,7 @@ def replay_frames(frames: list[dict], client_factory,
                 frame = frames[index]
                 try:
                     response = client.request(
-                        frame["kind"],
-                        dict(frame.get("params") or {}),
+                        frame["kind"], _frame_params(frame)
                     )
                 except ExperimentError as exc:
                     with lock:
@@ -310,7 +317,7 @@ def oracle_bodies(frames: list[dict]) -> list[str]:
     by_key: dict[str, str] = {}
     bodies = []
     for frame in frames:
-        params = dict(frame.get("params") or {})
+        params = _frame_params(frame)
         key = canonicalize(frame["kind"], params).key
         if key not in by_key:
             response = offline_response(frame["kind"], params)

@@ -1,8 +1,8 @@
 """Shared durable L2 result store (and shard-owner leases).
 
-Every replica keeps its own in-memory L1
-(:class:`repro.service.cache.ResultCache`); the fleet shares one L2 —
-a directory of per-key JSON documents written with the PR-4 store's
+Every replica keeps its own in-memory L1 (a :class:`repro.memo.Memo`);
+the fleet shares one L2, the only on-disk tier of the result cache — a
+directory of per-key JSON documents written with the PR-4 store's
 atomic write-rename primitive (:func:`repro.resilience.store.
 atomic_write_json`), so concurrent replicas coordinate through the
 filesystem's rename atomicity instead of locks.  A reader only ever
@@ -23,10 +23,10 @@ replace.  The lease is an optimization, never a correctness
 requirement — bodies are deterministic, so the worst case of a lost
 lease race is one duplicate computation of the same bytes.
 
-Failure policy matches the PR-5 result cache: a failing L2 write
-(disk full, injected ``fleet.l2_write`` fault) **degrades the store
-to read-only** instead of failing the request — the response was
-already computed; losing shared warmth must not lose the response.
+Failure policy: a failing L2 write (disk full, injected
+``fleet.l2_write`` fault) **degrades the store to read-only** instead
+of failing the request — the response was already computed; losing
+shared warmth must not lose the response.
 """
 
 from __future__ import annotations

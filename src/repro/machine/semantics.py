@@ -30,6 +30,7 @@ from ..isa.instructions import Instruction, OpClass
 from ..isa.operands import Immediate, Operand
 from ..isa.program import DataLayout
 from ..isa.registers import Register, RegisterClass
+from ..memo import Memo
 from .memory import MemorySystem
 from .state import RegisterFile
 
@@ -308,8 +309,7 @@ def decode_instruction(
 #: they were filtered from; decoding is pure given the instruction, the
 #: layout's symbol offsets, and the branch target, so the records are
 #: shared too (they are immutable after decode).
-_DECODE_CACHE: dict = {}
-_DECODE_CACHE_MAX = 65536
+_DECODE_MEMO: Memo[tuple, DecodedInstruction] = Memo("decode", 65536)
 
 
 def decode_program(program) -> tuple[DecodedInstruction, ...]:
@@ -322,15 +322,13 @@ def decode_program(program) -> tuple[DecodedInstruction, ...]:
         (s.name, s.offset_bytes) for s in layout.symbols()
     )
     targets = program.branch_targets
-    if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:
-        _DECODE_CACHE.clear()
     records = []
     for pc, instr in enumerate(program):
         key = (instr, layout_sig, targets[pc])
-        d = _DECODE_CACHE.get(key)
+        d = _DECODE_MEMO.get(key)
         if d is None:
             d = decode_instruction(instr, layout, targets[pc])
-            _DECODE_CACHE[key] = d
+            _DECODE_MEMO.put(key, d)
         records.append(d)
     decoded = tuple(records)
     program._decoded_cache = decoded

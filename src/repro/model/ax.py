@@ -25,6 +25,7 @@ from ..errors import ModelError
 from ..isa.instructions import Instruction
 from ..isa.program import Program
 from ..machine import DEFAULT_CONFIG, MachineConfig, SimulationResult
+from ..memo import Memo
 from ..workloads.lfk import KernelSpec
 from ..workloads.runner import prepare_simulator
 from ..compiler import CompiledKernel
@@ -108,9 +109,11 @@ class AXMeasurement:
 
 #: Memoized A/X runs — several experiments measure the same kernels.
 #: Values hold a strong reference to ``compiled`` so the id-based key
-#: stays valid; cleared via ``repro.workloads.runner.clear_caches``.
-_AX_CACHE: dict = {}
-_AX_CACHE_MAX = 128
+#: stays valid.
+_AX_MEMO: Memo[
+    tuple[str, str, int, MachineConfig],
+    tuple[CompiledKernel, AXMeasurement],
+] = Memo("ax", 128)
 
 
 def measure_ax(
@@ -120,13 +123,11 @@ def measure_ax(
 ) -> AXMeasurement:
     """Run the A-process and X-process codes and report CPL (memoized)."""
     key = (spec.name, spec.source, id(compiled), config)
-    hit = _AX_CACHE.get(key)
+    hit = _AX_MEMO.get(key)
     if hit is not None:
         return hit[1]
     measurement = _measure_ax(spec, compiled, config)
-    if len(_AX_CACHE) >= _AX_CACHE_MAX:
-        _AX_CACHE.clear()
-    _AX_CACHE[key] = (compiled, measurement)
+    _AX_MEMO.put(key, (compiled, measurement))
     return measurement
 
 

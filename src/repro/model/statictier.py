@@ -11,15 +11,13 @@ run, and returns everything as one frozen
 :class:`StaticKernelPrediction`.
 
 Results are memoized on (kernel content, options, config) — the same
-key discipline as ``run_kernel`` — and the memo participates in
-``repro.workloads.clear_caches`` so forked sweep workers and service
-processes can never serve a stale prediction after a machine-config
-change.
+key discipline as ``run_kernel`` — in a :class:`~repro.memo.Memo`, so
+``repro.workloads.clear_caches`` empties it and forked sweep workers
+and service processes start without it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -27,6 +25,7 @@ from ..analysis.staticpred import StaticPrediction, predict_program
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
 from ..compiler.scalar import LITERALS_SYMBOL, SCALARS_SYMBOL
 from ..machine import DEFAULT_CONFIG, MachineConfig
+from ..memo import Memo
 from ..units import cycles_per_vector_iteration
 from ..workloads.lfk import KernelSpec
 from .advisor import Advice, advise
@@ -34,24 +33,13 @@ from .hierarchy import KernelAnalysis, analyze_kernel
 
 __all__ = [
     "StaticKernelPrediction",
-    "clear_static_cache",
     "known_initial_memory",
     "predict_kernel",
-    "static_cache_size",
 ]
 
-_STATIC_CACHE: OrderedDict[Any, "StaticKernelPrediction"] = OrderedDict()
-_STATIC_CACHE_MAX = 256
-
-
-def clear_static_cache() -> None:
-    """Drop all memoized static predictions (config-change safety)."""
-    _STATIC_CACHE.clear()
-
-
-def static_cache_size() -> int:
-    """Number of memoized predictions (for cache tests)."""
-    return len(_STATIC_CACHE)
+_STATIC_MEMO: Memo[tuple[object, ...], StaticKernelPrediction] = Memo(
+    "static", 256
+)
 
 
 def known_initial_memory(
@@ -212,9 +200,8 @@ def predict_kernel(
     if n is not None:
         spec = sized_spec(spec, n)
     key = (_spec_key(spec), options, config)
-    hit = _STATIC_CACHE.get(key)
+    hit = _STATIC_MEMO.get(key)
     if hit is not None:
-        _STATIC_CACHE.move_to_end(key)
         return hit
 
     compiled = compile_spec(spec, options)
@@ -251,7 +238,5 @@ def predict_kernel(
         advice=advice,
         config=config,
     )
-    _STATIC_CACHE[key] = result
-    if len(_STATIC_CACHE) > _STATIC_CACHE_MAX:
-        _STATIC_CACHE.popitem(last=False)
+    _STATIC_MEMO.put(key, result)
     return result

@@ -27,9 +27,10 @@ Fields:
   ``store.atomic_write``, ``trace.write`` (telemetry),
   ``static.predict`` (static-tier cycles), ``clock`` (wall-clock skew,
   seconds), ``worker`` (sweep worker processes), ``service.accept``
-  (analysis-server connections dropped at accept), and
-  ``service.cache_write`` (analysis-server durable cache appends
-  fail; the cache degrades to memory-only).
+  (analysis-server connections dropped at accept), ``fleet.replica``
+  (a fleet client partitions the replica it is about to send to) and
+  ``fleet.l2_write`` (shared L2 writes fail; the store degrades to
+  read-only).
 * ``kind`` — ``io-error`` (raise ``OSError``), ``torn-write`` (write
   a prefix of the bytes, then raise), ``skew`` (add ``value`` to a
   clock), or — for ``site="worker"`` — ``raise``/``exit``/``hang``.
@@ -65,8 +66,7 @@ from ..errors import ExperimentError
 
 _SITES_HINT = (
     "store.append, store.atomic_write, trace.write, static.predict, "
-    "clock, worker, service.accept, service.cache_write, "
-    "fleet.replica, fleet.l2_write"
+    "clock, worker, service.accept, fleet.replica, fleet.l2_write"
 )
 _KINDS = ("io-error", "torn-write", "skew", "raise", "exit", "hang")
 _WORKER_KINDS = ("raise", "exit", "hang")

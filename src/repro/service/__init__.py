@@ -6,8 +6,9 @@ analysis requests — MACS bounds, A/X measurements, lint, full
 per-kernel reports, sweep grids — canonicalizes them into the sweep
 engine's content-digest keys, executes them on a persistent
 :class:`~repro.sweep.pool.WorkerPool`, and serves concurrent duplicates
-from one computation (single-flight) backed by a bounded,
-restart-surviving result cache.
+from one computation (single-flight) backed by a bounded in-process
+L1 memo and, with ``--l2``, a shared on-disk L2 that a restarted
+replica comes back warm from.
 
 Public surface:
 
@@ -18,8 +19,6 @@ Public surface:
   :class:`ServiceConfig`, :func:`serve`, :func:`start_in_thread`;
 * :mod:`~repro.service.client` — :class:`ServiceClient`,
   :func:`offline_response`;
-* :mod:`~repro.service.cache` — :class:`ResultCache`,
-  :func:`clear_service_caches`;
 * :mod:`~repro.service.admission` — :class:`AdmissionController`;
 * :mod:`~repro.service.singleflight` — :class:`SingleFlight`;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`;
@@ -35,8 +34,7 @@ or worker process; a sampling calibration loop replays a fraction of
 requests exactly and records static-vs-exact deltas in a durable
 agreement ledger.
 
-Submodules load lazily so importing :mod:`repro.workloads` (whose
-``clear_caches`` resets the service result cache) never drags asyncio
+Submodules load lazily, so importing this package never drags asyncio
 machinery into the base import graph.
 """
 
@@ -50,8 +48,6 @@ _EXPORTS = {
     "REQUEST_KINDS": "protocol",
     "CONTROL_KINDS": "protocol",
     "execute_request": "jobs",
-    "ResultCache": "cache",
-    "clear_service_caches": "cache",
     "AdmissionController": "admission",
     "SingleFlight": "singleflight",
     "ServiceMetrics": "metrics",

@@ -144,7 +144,7 @@ class ServiceClient:
             self._next_id += 1
             request_id = f"c{self._next_id}"
         frame: dict = {"id": request_id, "kind": kind}
-        if params:
+        if params is not None:
             frame["params"] = params
         if deadline_s is not None:
             frame["deadline_s"] = deadline_s
@@ -241,7 +241,7 @@ def offline_response(kind: str, params: dict | None = None) -> Response:
     """
     from .jobs import execute_request
 
-    request = canonicalize(kind, params or {})
+    request = canonicalize(kind, {} if params is None else params)
     payload = execute_request(request.payload)
     if payload["status"] == "ok":
         return Response(

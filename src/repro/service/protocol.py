@@ -46,9 +46,8 @@ Each process derives a given (kind, params) once: :func:`canonicalize`
 keeps the validated :class:`Request` in a bounded LRU keyed by a
 digest of ``json.dumps([kind, params], sort_keys=True)``, and a repeat
 returns the stored request.  Malformed requests raise on every
-call and are never stored; ``clear_caches()`` (in
-:mod:`repro.workloads.runner`) empties the memo, so forked workers
-start without it.
+call and are never stored.  The memo is a :class:`~repro.memo.Memo`,
+so ``clear_caches()`` empties it and forked workers start without it.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..compiler.options import DEFAULT_OPTIONS, CompilerOptions, ReductionStyle
@@ -73,6 +70,7 @@ from ..errors import (
 )
 from ..machine import DEFAULT_CONFIG
 from ..machines import builtin_machine, tuned_options
+from ..memo import Memo
 from ..sweep.spec import OPTION_VARIANTS, SweepTask, digest
 
 #: Compute kinds (keyed and cached; all but ``advise`` run on the
@@ -371,41 +369,8 @@ _JSON_LEAVES = (str, int, float, bool, type(None))
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-class _RequestMemo:
-    """An LRU of :class:`Request` keyed by a (kind, params) digest."""
-
-    __slots__ = ("entries", "lock")
-
-    def __init__(self) -> None:
-        self.entries: OrderedDict[bytes, Request] = OrderedDict()
-        self.lock = threading.Lock()
-
-    def get(self, key: bytes) -> Request | None:
-        with self.lock:
-            hit = self.entries.get(key)
-            if hit is not None:
-                self.entries.move_to_end(key)
-            return hit
-
-    def put(self, key: bytes, request: Request) -> None:
-        with self.lock:
-            self.entries[key] = request
-            if len(self.entries) > REQUEST_MEMO_MAX:
-                self.entries.popitem(last=False)
-
-
-_memo = _RequestMemo()
-
-
-def clear_request_memo() -> None:
-    """Drop every memoized request (``clear_caches`` calls this).
-
-    The memo is replaced, not emptied under its lock: in a child forked
-    while another thread held that lock, acquiring it would never
-    return.
-    """
-    global _memo
-    _memo = _RequestMemo()
+#: Canonical :class:`Request` objects, keyed by a (kind, params) digest.
+_REQUEST_MEMO: Memo[bytes, Request] = Memo("request", REQUEST_MEMO_MAX)
 
 
 def _is_plain_json(value) -> bool:
@@ -451,11 +416,10 @@ def canonicalize(kind: str, params: dict) -> Request:
     key = _memo_key(kind, params)
     if key is None:
         return _derive_request(kind, params)
-    memo = _memo
-    request = memo.get(key)
+    request = _REQUEST_MEMO.get(key)
     if request is None:
         request = _derive_request(kind, params)
-        memo.put(key, request)
+        _REQUEST_MEMO.put(key, request)
     return request
 
 

@@ -3,7 +3,7 @@
 Architecture::
 
     clients ──NDJSON──▶ asyncio frontend ──▶ admission control
-                                           ──▶ result cache (durable)
+                                           ──▶ L1 memo ──▶ shared L2
                                            ──▶ single-flight table
                                            ──▶ WorkerPool (processes)
 
@@ -32,16 +32,15 @@ Operational behavior:
   listeners, lets every in-flight request finish and respond, shuts
   the pool down, and exits cleanly;
 * **fault sites** — ``service.accept`` (a connection dropped at
-  accept) and ``service.cache_write`` (durable cache append failure)
-  are chaos-injectable; worker crashes are retried by the pool's
-  :class:`~repro.resilience.retry.RetryPolicy` without the client ever
-  seeing an error.
+  accept) is chaos-injectable; worker crashes are retried by the
+  pool's :class:`~repro.resilience.retry.RetryPolicy` without the
+  client ever seeing an error.
 
 Fork hygiene: worker processes are forked from the serving process, so
 every listening socket is registered and **closed in the child** at
 fork (a worker must never hold the server's accept socket open), and
-the armed chaos plan / telemetry / memo caches are already dropped by
-the PR-3/PR-4 fork hooks.
+the armed chaos plan, the telemetry collector and every memo (the L1
+included) are dropped by their own modules' fork hooks.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ import weakref
 from dataclasses import dataclass
 
 from ..errors import ExperimentError
+from ..memo import Memo
 from ..resilience import faults as _faults
 from ..resilience.retry import RetryPolicy
 from ..sweep.pool import WorkerPool
@@ -65,7 +65,6 @@ from .agreement import (
     AgreementLedger,
     CalibrationSampler,
 )
-from .cache import ResultCache
 from .jobs import execute_request
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -110,8 +109,7 @@ class ServiceConfig:
     workers: int = 1
     queue_limit: int = 64
     client_limit: int = 8
-    #: durable result-cache log (None = memory-only)
-    cache_path: str | None = None
+    #: L1 result-memo entry bound
     cache_max: int = 512
     #: default per-request wall-clock budget (None = unbounded)
     default_deadline_s: float | None = None
@@ -151,9 +149,8 @@ class AnalysisServer:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.metrics = ServiceMetrics(shard=config.shard_id)
-        self.cache = ResultCache(
-            max_entries=config.cache_max, path=config.cache_path
-        )
+        #: the L1: response bodies keyed by request content digest
+        self.cache: Memo[str, dict] = Memo("service.l1", config.cache_max)
         if config.l2_path is not None:
             from ..fleet.store import SharedL2Store
 
@@ -306,7 +303,6 @@ class AnalysisServer:
             await asyncio.wait(pending, timeout=5.0)
         stragglers = any(not task.done() for task in self._flights)
         self.pool.shutdown(kill=stragglers)
-        self.cache.close()
         if self.calibration.ledger is not None:
             self.calibration.ledger.close()
         if self.config.socket_path is not None:
@@ -405,7 +401,9 @@ class AnalysisServer:
             if kind in CONTROL_KINDS:
                 envelope = self._control(request_id, kind)
             else:
-                request = canonicalize(kind, frame.get("params") or {})
+                params = frame.get("params")
+                request = canonicalize(kind,
+                                       {} if params is None else params)
                 deadline_s = frame.get("deadline_s")
                 if deadline_s is not None:
                     request = Request(
@@ -496,7 +494,7 @@ class AnalysisServer:
         if self.l2 is not None:
             body = self.l2.get(request.key)
             if body is not None:
-                self.cache.put(request.key, request.kind, body)
+                self.cache.put(request.key, body)
                 self.metrics.count("cache_hits")
                 self.metrics.count_shard("l2_hits")
                 return envelope_ok(body, "cache")
@@ -523,7 +521,7 @@ class AnalysisServer:
                     "error": dict(payload["error"]),
                 }
             body = payload["body"]
-            self.cache.put(request.key, request.kind, body)
+            self.cache.put(request.key, body)
             if self.l2 is not None:
                 self.l2.put(request.key, request.kind, body)
             self.metrics.count("static_answers")
@@ -655,7 +653,7 @@ class AnalysisServer:
             self.singleflight.finish(key, error=exc)
             return
         if payload["status"] == "ok":
-            self.cache.put(key, request.kind, payload["body"])
+            self.cache.put(key, payload["body"])
         self.singleflight.finish(key, result=payload)
 
     def _compute_with_lease(self, request: Request, key: str) -> dict:

@@ -296,7 +296,7 @@ def _probe_run_cache(task: SweepTask) -> bool:
 
         spec = _task_spec(task)
         key = (runner._spec_key(spec), task.options, task.config)
-        return key in runner._RUN_CACHE
+        return key in runner._RUN_MEMO
     except ReproError:
         return False
 

@@ -43,6 +43,7 @@ Trace event schema (see ``docs/sweep.md`` for the full field list)::
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -194,6 +195,9 @@ def reset() -> None:
             _ACTIVE._trace_log.detach()
             _ACTIVE._trace_log = None
         _ACTIVE = None
+
+
+os.register_at_fork(after_in_child=reset)
 
 
 @contextmanager

@@ -10,16 +10,14 @@ Both :func:`compile_spec` and :func:`run_kernel` memoize: the paper's
 experiments re-run the same (kernel, options, config) triples dozens of
 times across tables/figures, and everything here is deterministic, so
 compiled kernels and whole runs are shared.  Treat cached
-:class:`KernelRun` objects as read-only; :func:`clear_caches` resets
-both caches (useful when benchmarking the simulator itself).
+:class:`KernelRun` objects as read-only; :func:`clear_caches` empties
+both memos and every other one (useful when benchmarking the simulator
+itself).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,70 +25,26 @@ import numpy as np
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS, compile_kernel
 from ..errors import WorkloadError
 from ..machine import DEFAULT_CONFIG, MachineConfig, SimulationResult, Simulator
+from ..memo import Memo, clear_memos
 from ..resilience import faults as _faults
 from ..sweep import telemetry
 from ..units import MAX_VL, cycles_per_vector_iteration
 from .lfk import KernelSpec, kernel
 
-#: LRU-bounded memo tables (compilation / whole-run).  Kernel sources
-#: are small and runs hold a few arrays each, so modest caps suffice.
-_COMPILE_CACHE: OrderedDict = OrderedDict()
-_COMPILE_CACHE_MAX = 512
-_RUN_CACHE: OrderedDict = OrderedDict()
-_RUN_CACHE_MAX = 256
+#: Compiled kernels, keyed on (source, name, IVDEP, options).  Kernel
+#: sources are small and runs hold a few arrays each, so modest caps
+#: suffice.
+_COMPILE_MEMO: Memo[tuple, CompiledKernel] = Memo("compile", 512)
+#: Whole runs as (run, verified), keyed on (spec content, options,
+#: config).
+_RUN_MEMO: Memo[tuple, tuple[KernelRun, bool]] = Memo("run", 256)
 
 
 def clear_caches() -> None:
-    """Drop all memoized compilations, runs, decoded instructions,
-    analyses, A/X data, and service results and requests, and
+    """Empty every in-process memo (see :mod:`repro.memo`) and
     deactivate any telemetry collector left over from a sweep."""
-    _COMPILE_CACHE.clear()
-    _RUN_CACHE.clear()
-    from ..analysis import clear_analysis_cache
-    from ..machine import semantics
-    from ..model import ax
-
-    semantics._DECODE_CACHE.clear()
-    ax._AX_CACHE.clear()
-    clear_analysis_cache()
-    # The static-prediction memo keys on (kernel, options, config) but
-    # a forked worker or long-lived service process must still start
-    # cold: a stale static answer is indistinguishable from a fresh
-    # one downstream, so it is dropped with everything else.
-    statictier = sys.modules.get("repro.model.statictier")
-    if statictier is not None:
-        statictier.clear_static_cache()
+    clear_memos()
     telemetry.reset()
-    # The analysis service's result caches and request memo participate
-    # too, but only when their modules were ever imported (keep cold
-    # starts cold).
-    service_cache = sys.modules.get("repro.service.cache")
-    if service_cache is not None:
-        service_cache.clear_service_caches()
-    protocol = sys.modules.get("repro.service.protocol")
-    if protocol is not None:
-        protocol.clear_request_memo()
-
-
-# The memo tables must not leak across forked workers: a child that
-# inherits the parent's caches would keep serving (and LRU-mutating)
-# objects the parent still owns, and an inherited telemetry collector
-# would write into the parent's trace file descriptor.  Every sweep
-# worker therefore starts cold.
-os.register_at_fork(after_in_child=clear_caches)
-
-
-def _cache_get(cache: OrderedDict, key):
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-    return hit
-
-
-def _cache_put(cache: OrderedDict, key, value, cap: int) -> None:
-    cache[key] = value
-    if len(cache) > cap:
-        cache.popitem(last=False)
 
 
 def compile_spec(
@@ -98,13 +52,13 @@ def compile_spec(
 ) -> CompiledKernel:
     """Compile a kernel spec with its required IVDEP setting (memoized)."""
     key = (spec.source, spec.name, spec.ivdep, options)
-    compiled = _cache_get(_COMPILE_CACHE, key)
+    compiled = _COMPILE_MEMO.get(key)
     if compiled is None:
         with telemetry.stage("compile"):
             compiled = compile_kernel(
                 spec.source, spec.name, options.replace(ivdep=spec.ivdep)
             )
-        _cache_put(_COMPILE_CACHE, key, compiled, _COMPILE_CACHE_MAX)
+        _COMPILE_MEMO.put(key, compiled)
     return compiled
 
 
@@ -259,12 +213,12 @@ def run_kernel(
     if compiled is None:
         if _faults.active_plan() is None:
             key = (_spec_key(spec), options, config)
-            hit = _cache_get(_RUN_CACHE, key)
+            hit = _RUN_MEMO.get(key)
             if hit is not None:
                 run, verified = hit
                 if verify and not verified:
                     run.verify()
-                    _RUN_CACHE[key] = (run, True)
+                    _RUN_MEMO.put(key, (run, True))
                 return run
         compiled = compile_spec(spec, options)
     with telemetry.stage("simulate"):
@@ -282,5 +236,5 @@ def run_kernel(
         with telemetry.stage("verify"):
             run.verify()
     if key is not None:
-        _cache_put(_RUN_CACHE, key, (run, verify), _RUN_CACHE_MAX)
+        _RUN_MEMO.put(key, (run, verify))
     return run

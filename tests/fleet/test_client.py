@@ -7,8 +7,10 @@ from repro.fleet import FleetClient
 from repro.fleet.fabric import Fleet
 from repro.resilience.retry import RetryPolicy
 from repro.service.client import ServiceClient, offline_response
-from repro.service.protocol import canonicalize
+from repro.service.protocol import ProtocolError, canonicalize
 from repro.workloads import workload_names
+
+from ..service.test_protocol import NON_OBJECTS
 
 FAKE_TOPOLOGY = {
     "replica-0": "unix:/nonexistent-0.sock",
@@ -62,6 +64,21 @@ class TestRouting:
     def test_empty_topology_is_rejected(self):
         with pytest.raises(ExperimentError):
             FleetClient({})
+
+
+class TestNonObjectParams:
+    @pytest.mark.parametrize("params", [*NON_OBJECTS, [["kernel", "lfk1"]]])
+    def test_request_raises_before_any_connection(self, params,
+                                                  monkeypatch):
+        client = FleetClient(FAKE_TOPOLOGY)
+
+        def connect(name):
+            raise AssertionError(f"connected to {name}")
+
+        monkeypatch.setattr(client, "_connection", connect)
+        with pytest.raises(ProtocolError, match="must be an object"):
+            client.request("report", params)
+        assert client.stats()["requests"] == 0
 
 
 class TestDeadFleet:

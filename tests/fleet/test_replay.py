@@ -26,6 +26,8 @@ from repro.fleet.fabric import Fleet
 from repro.service.client import offline_response
 from repro.service.protocol import canonicalize
 
+from ..service.test_protocol import NON_OBJECTS
+
 DATA = os.path.join(os.path.dirname(__file__), "data",
                     "fleet_burst.ndjson")
 
@@ -124,6 +126,20 @@ class TestRecordedCorpora:
         kindless.write_text('{"params": {}}\n')
         with pytest.raises(ExperimentError, match="'kind'"):
             load_burst(str(kindless))
+
+    @pytest.mark.parametrize("params", NON_OBJECTS)
+    def test_load_rejects_non_object_params_by_line(self, tmp_path,
+                                                    params):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(
+            json.dumps({"kind": "advise", "params": {"kernel": "lfk1"}})
+            + "\n" + json.dumps({"kind": "report", "params": params})
+            + "\n"
+        )
+        with pytest.raises(ExperimentError,
+                           match=r"bad\.ndjson:2: invalid frame: "
+                                 r"'params' must be an object"):
+            load_burst(str(path))
 
     def test_checked_in_corpus_is_loadable_and_skewed(self):
         frames = load_burst(DATA)

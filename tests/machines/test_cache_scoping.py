@@ -2,7 +2,7 @@
 
 Machine identity enters every tier as the *content digest* of the
 resolved config — sweep-task keys, service request keys, the run
-cache, the service L1 ResultCache, and the fleet's shared L2.  These
+memo, the service L1 memo, and the fleet's shared L2.  These
 tests pin the regression the digest exists to prevent: two different
 machine descriptions colliding on one cached result.
 """
@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from repro.machines import builtin_machine, builtin_names
-from repro.service.cache import ResultCache
+from repro.service import AnalysisServer, ServiceConfig
 from repro.service.protocol import canonicalize
 from repro.sweep.spec import SweepTask
 
@@ -64,14 +64,16 @@ class TestServiceKeys:
 
 class TestResultCacheScoping:
     def test_l1_cache_never_serves_across_machines(self):
-        cache = ResultCache(max_entries=8)
+        cache = AnalysisServer(
+            ServiceConfig(socket_path="unused.sock", cache_max=8)
+        ).cache
         key_a = canonicalize(
             "run", {"kernel": "lfk1", "machine": "c240"}
         ).key
         key_b = canonicalize(
             "run", {"kernel": "lfk1", "machine": "cray-nochain"}
         ).key
-        cache.put(key_a, "run", {"cycles": 1.0})
+        cache.put(key_a, {"cycles": 1.0})
         assert cache.get(key_b) is None
         assert cache.get(key_a) == {"cycles": 1.0}
 

@@ -3,20 +3,19 @@
 import pytest
 
 from repro.machine import DEFAULT_CONFIG
-from repro.model import (
-    clear_static_cache,
-    known_initial_memory,
-    predict_kernel,
-    static_cache_size,
-)
+from repro.model import known_initial_memory, predict_kernel, statictier
 from repro.workloads import clear_caches, compile_spec, workload
+
+
+def static_cache_size() -> int:
+    return len(statictier._STATIC_MEMO)
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    clear_static_cache()
+    statictier._STATIC_MEMO.clear()
     yield
-    clear_static_cache()
+    statictier._STATIC_MEMO.clear()
 
 
 class TestMemoization:

@@ -1,9 +1,8 @@
 """Chaos tests for the analysis service.
 
 The service must hide infrastructure failure from clients: a killed
-worker is retried under the pool's RetryPolicy, a dropped connection
-only affects that connection, and a failing durable-cache write
-degrades durability without failing the request.
+worker is retried under the pool's RetryPolicy, and a dropped
+connection only affects that connection.
 """
 
 import pytest
@@ -20,7 +19,6 @@ def server(tmp_path):
         ServiceConfig(
             socket_path=str(tmp_path / "chaos.sock"),
             workers=1,
-            cache_path=str(tmp_path / "cache.log"),
             retries=2,
         )
     )
@@ -104,24 +102,3 @@ class TestConnectionFaults:
                 f["site"] == "service.accept" for f in faults.fired()
             )
 
-
-class TestCacheWriteFaults:
-    def test_cache_write_fault_degrades_but_request_succeeds(
-        self, server
-    ):
-        plan = faults.FaultPlan.from_dict(
-            {"faults": [
-                {"site": "service.cache_write", "kind": "io-error"},
-            ]}
-        )
-        with faults.chaos(plan):
-            with ServiceClient(server.endpoints[0],
-                               timeout=60.0) as client:
-                response = client.request("mac", {"kernel": "lfk10"})
-                assert response.ok
-                metrics = client.metrics()
-                assert metrics["cache"]["degraded"] is not None
-                assert not metrics["cache"]["durable"]
-                # The in-memory cache still serves the result.
-                again = client.request("mac", {"kernel": "lfk10"})
-                assert again.ok and again.origin == "cache"

@@ -140,6 +140,10 @@ MALFORMED = [
 ]
 
 
+#: Params that are not an object; a falsy one must not pass for ``{}``.
+NON_OBJECTS = [[], 0, False, "", ["x"], "abc"]
+
+
 class TestMalformedParams:
     @pytest.mark.parametrize("kind,params", MALFORMED)
     def test_canonicalize_raises_a_usage_error(self, kind, params):
@@ -155,6 +159,19 @@ class TestMalformedParams:
 
         with pytest.raises(ProtocolError):
             offline_response(kind, params)
+
+    @pytest.mark.parametrize("params", NON_OBJECTS)
+    def test_offline_non_object_params_raise_before_computing(
+        self, params, monkeypatch
+    ):
+        from repro.service import client, jobs
+
+        def compute(payload):
+            raise AssertionError(f"computed {payload}")
+
+        monkeypatch.setattr(jobs, "execute_request", compute)
+        with pytest.raises(ProtocolError, match="must be an object"):
+            client.offline_response("report", params)
 
 
 class TestOptionsRoundTrip:

@@ -92,7 +92,7 @@ def test_a_repeated_request_is_derived_once(monkeypatch):
     lower = canonicalize("bound", {"kernel": "lfk1"})
     assert len(derived) == 3
     assert upper.key == lower.key and upper is not lower
-    assert len(protocol._memo.entries) == 3
+    assert len(protocol._REQUEST_MEMO) == 3
 
 
 @pytest.mark.parametrize("kind,params", MALFORMED)
@@ -100,7 +100,7 @@ def test_malformed_params_raise_every_time(kind, params):
     for _ in range(2):
         with pytest.raises(ProtocolError):
             canonicalize(kind, params)
-    assert not protocol._memo.entries
+    assert len(protocol._REQUEST_MEMO) == 0
 
 
 @pytest.mark.parametrize("kind,name", [("sweep", "kernels"),
@@ -117,7 +117,7 @@ def test_params_that_json_cannot_encode_take_the_uncached_path():
     plain = canonicalize("run", {"kernel": "lfk2"})
     odd = canonicalize("run", {"kernel": "lfk2", "tags": {"a", "b"}})
     assert fields(odd) == fields(plain)
-    assert len(protocol._memo.entries) == 1
+    assert len(protocol._REQUEST_MEMO) == 1
 
 
 def test_the_memo_is_bounded():
@@ -126,10 +126,10 @@ def test_the_memo_is_bounded():
     expected = fields(protocol._derive_request("lint", {"kernel": "lfk3"}))
     for kind, params in table:
         assert fields(canonicalize(kind, params)) == expected
-    assert len(protocol._memo.entries) == cap
+    assert len(protocol._REQUEST_MEMO) == cap
     # the oldest entries were evicted and are derived again correctly
     assert fields(canonicalize(*table[0])) == expected
-    assert len(protocol._memo.entries) == cap
+    assert len(protocol._REQUEST_MEMO) == cap
 
 
 def test_an_ignored_field_does_not_grow_an_entry():
@@ -137,10 +137,10 @@ def test_an_ignored_field_does_not_grow_an_entry():
     large = {**small, "note": "x" * 60_000}
     assert fields(canonicalize("analyze", large)) == \
         fields(canonicalize("analyze", small))
-    entries = protocol._memo.entries
+    memo = protocol._REQUEST_MEMO
     keys = [protocol._memo_key("analyze", p) for p in (small, large)]
     assert len(keys[0]) == len(keys[1])
-    sizes = [len(pickle.dumps(entries[key])) for key in keys]
+    sizes = [len(pickle.dumps(memo.get(key))) for key in keys]
     assert sizes[1] <= sizes[0]
 
 
@@ -173,14 +173,14 @@ def test_concurrent_threads_get_the_uncached_answers():
         for thread in threads:
             thread.start()
         for _ in range(20):
-            protocol.clear_request_memo()
+            protocol._REQUEST_MEMO.clear()
         for thread in threads:
             thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(protocol._memo.entries) <= cap
+    assert len(protocol._REQUEST_MEMO) <= cap
 
 
 SERVED = [

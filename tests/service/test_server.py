@@ -18,6 +18,9 @@ from repro.service.client import (
     parse_endpoint,
 )
 from repro.service.server import AnalysisServer
+from repro.workloads import clear_caches
+
+from .test_protocol import NON_OBJECTS
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,7 @@ class TestMalformedRequestsOverWire:
         {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": "soon"},
         {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": 0},
         {"kind": "run", "params": {"kernel": "lfk1"}, "deadline_s": -1},
+        *({"kind": "report", "params": params} for params in NON_OBJECTS),
     ])
     def test_usage_error_and_no_computation(self, idle_server, frame):
         with ServiceClient(idle_server.endpoints[0]) as active:
@@ -209,6 +213,37 @@ class TestCachingAndSingleFlight:
             assert served.canonical_text() == \
                 offline.canonical_text()
             assert served.render() == offline.render()
+
+
+class TestRestartWarmth:
+    def test_restarted_replica_is_warm_from_its_l2(self, tmp_path):
+        """The L2 is the on-disk tier: a replica restarted over the
+        same directory answers from it without computing."""
+        config = ServiceConfig(socket_path=str(tmp_path / "warm.sock"),
+                               workers=1, l2_path=str(tmp_path / "l2"))
+        frames = [("run", {"kernel": "lfk9"}),
+                  ("advise", {"kernel": "lfk1"})]
+
+        def serve_frames():
+            thread = start_in_thread(config)
+            try:
+                with ServiceClient(thread.endpoints[0]) as active:
+                    responses = [active.request(kind, params)
+                                 for kind, params in frames]
+                    return responses, active.metrics()
+            finally:
+                thread.stop()
+
+        first, _ = serve_frames()
+        assert [r.origin for r in first] == ["computed", "computed"]
+        clear_caches()  # nothing in-process survives the restart
+        again, metrics = serve_frames()
+        assert [r.origin for r in again] == ["cache", "cache"]
+        assert [r.canonical_text() for r in again] == \
+            [r.canonical_text() for r in first]
+        assert metrics["computed"] == 0
+        assert metrics["static_answers"] == 0
+        assert metrics["l2"]["hits"] == 2
 
 
 class TestAdmissionOverWire:

@@ -25,7 +25,7 @@ from repro.workloads import runner
 
 def warm_caches():
     run_kernel(workload("lfk12"))
-    assert runner._COMPILE_CACHE and runner._RUN_CACHE
+    assert len(runner._COMPILE_MEMO) and len(runner._RUN_MEMO)
 
 
 class TestRunnerCaches:
@@ -86,10 +86,10 @@ class TestRunnerCaches:
 
         program = compile_spec(kernel("lfk1")).program
         first = analysis.analyze_program(program)
-        assert analysis.analysis_cache_size() >= 1
+        assert len(analysis._ANALYSIS_MEMO) >= 1
         assert analysis.analyze_program(program) is first
         clear_caches()
-        assert analysis.analysis_cache_size() == 0
+        assert len(analysis._ANALYSIS_MEMO) == 0
         assert analysis.analyze_program(program) is not first
 
     def test_sized_variants_not_conflated(self):
@@ -108,14 +108,14 @@ class TestClearCaches:
     def test_clears_compile_and_run_caches(self):
         warm_caches()
         clear_caches()
-        assert not runner._COMPILE_CACHE
-        assert not runner._RUN_CACHE
+        assert len(runner._COMPILE_MEMO) == 0
+        assert len(runner._RUN_MEMO) == 0
 
     def test_clears_the_decode_memo(self):
         first = run_kernel(workload("lfk12")).result.cycles
-        assert semantics._DECODE_CACHE
+        assert len(semantics._DECODE_MEMO)
         clear_caches()
-        assert not semantics._DECODE_CACHE
+        assert len(semantics._DECODE_MEMO) == 0
         assert run_kernel(workload("lfk12")).result.cycles == first
 
     def test_deactivates_leftover_telemetry_collector(self):
@@ -126,14 +126,15 @@ class TestClearCaches:
         assert telemetry.current() is None
 
     def test_clears_the_service_result_cache_too(self):
-        from repro.service.cache import ResultCache
+        from repro.service import AnalysisServer, ServiceConfig
 
-        cache = ResultCache(max_entries=4)
-        cache.put("key", "bound", {"v": 1})
+        server = AnalysisServer(ServiceConfig(socket_path="unused.sock",
+                                              cache_max=4))
+        server.cache.put("key", {"v": 1})
         warm_caches()
         clear_caches()
-        assert len(cache) == 0
-        assert not runner._COMPILE_CACHE
+        assert len(server.cache) == 0
+        assert len(runner._COMPILE_MEMO) == 0
 
     def test_reset_does_not_close_inherited_trace_handle(self, tmp_path):
         # reset() must detach the durable log's handle without closing
@@ -160,8 +161,8 @@ class TestForkIsolation:
             # parent warmed.  Exit codes communicate the verdict.
             status = (
                 0
-                if not runner._COMPILE_CACHE
-                and not runner._RUN_CACHE
+                if len(runner._COMPILE_MEMO) == 0
+                and len(runner._RUN_MEMO) == 0
                 and telemetry.current() is None
                 else 1
             )
@@ -170,7 +171,7 @@ class TestForkIsolation:
         assert os.WIFEXITED(wait_status)
         assert os.WEXITSTATUS(wait_status) == 0
         # ... and the parent's caches are untouched by the fork.
-        assert runner._COMPILE_CACHE and runner._RUN_CACHE
+        assert len(runner._COMPILE_MEMO) and len(runner._RUN_MEMO)
 
     def test_forked_child_inherits_no_active_collector(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
