@@ -769,8 +769,17 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes long options only in full (``--cache`` is not ``--cache-max``);
+    ``add_subparsers`` makes every subcommand parser one of these."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macs-repro",
         description=(
             "MACS hierarchical performance modeling "
@@ -997,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--calibrate-every", type=int, default=0, metavar="N",
-        help="replay every Nth advise request exactly and record the "
+        help="replay every Nth cold advise exactly and record the "
         "static-vs-exact delta in the agreement ledger (default 0 = "
         "off)",
     )

@@ -172,7 +172,7 @@ class FleetClient:
 
     # -- requests ------------------------------------------------------
 
-    def _try_replica(self, name: str, kind: str, params: dict,
+    def _try_replica(self, name: str, kind: str, params: dict | None,
                      deadline_s: float | None) -> Response:
         spec = _faults.check("fleet.replica", path=name)
         if spec is not None and spec.kind == "io-error" \
@@ -186,8 +186,6 @@ class FleetClient:
     def request(self, kind: str, params: dict | None = None, *,
                 deadline_s: float | None = None) -> Response:
         """Send one request to the fleet, failing over as needed."""
-        if params is None:
-            params = {}
         request = canonicalize(kind, params)
         self.requests += 1
         attempt = 0

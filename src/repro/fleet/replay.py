@@ -42,8 +42,8 @@ from ..service.protocol import ProtocolError, canonicalize
 #: Default Zipf exponent (s=1.1: hot head, heavy tail).
 DEFAULT_SKEW = 1.1
 #: Compute kinds the generator draws from by default.  ``advise`` is
-#: the fast tier (inline, no worker), which keeps replay gates quick;
-#: mixes may add worker-pool kinds like ``bound``.
+#: the static tier (no simulation), which keeps replay gates quick;
+#: mixes may add simulator-backed kinds like ``bound``.
 DEFAULT_KINDS = ("advise",)
 #: Option variants the generator crosses with the workloads.
 DEFAULT_VARIANTS = ("default", "reuse", "tight-sregs",
@@ -55,16 +55,6 @@ DEFAULT_VARIANTS = ("default", "reuse", "tight-sregs",
 #: kernel under ``tight-sregs`` errors out, for example), and the
 #: byte-identity gate needs every frame to have an ``ok`` oracle body.
 _VIABLE: dict[str, bool] = {}
-
-
-def _frame_params(frame: dict):
-    """A frame's params: ``{}`` only when they are missing or null.
-
-    Anything else goes to :func:`canonicalize` as it is, so a non-object
-    is the ``usage`` error "'params' must be an object", never ``{}``.
-    """
-    params = frame.get("params")
-    return {} if params is None else params
 
 
 def _frame_viable(kind: str, params: dict) -> bool:
@@ -156,7 +146,7 @@ def record_burst(path: str, frames: list[dict]) -> None:
     lines = []
     for frame in frames:
         try:
-            canonicalize(frame["kind"], _frame_params(frame))
+            canonicalize(frame["kind"], frame.get("params"))
         except ProtocolError as exc:
             raise ExperimentError(
                 f"unrecordable frame {frame}: {exc}"
@@ -190,7 +180,7 @@ def load_burst(path: str) -> list[dict]:
                     f"{path}:{number}: frame needs a 'kind'"
                 )
             try:
-                canonicalize(frame["kind"], _frame_params(frame))
+                canonicalize(frame["kind"], frame.get("params"))
             except ProtocolError as exc:
                 raise ExperimentError(
                     f"{path}:{number}: invalid frame: {exc}"
@@ -265,7 +255,7 @@ def replay_frames(frames: list[dict], client_factory,
                 frame = frames[index]
                 try:
                     response = client.request(
-                        frame["kind"], _frame_params(frame)
+                        frame["kind"], frame.get("params")
                     )
                 except ExperimentError as exc:
                     with lock:
@@ -317,7 +307,7 @@ def oracle_bodies(frames: list[dict]) -> list[str]:
     by_key: dict[str, str] = {}
     bodies = []
     for frame in frames:
-        params = _frame_params(frame)
+        params = frame.get("params")
         key = canonicalize(frame["kind"], params).key
         if key not in by_key:
             response = offline_response(frame["kind"], params)

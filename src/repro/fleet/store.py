@@ -19,7 +19,9 @@ map routing around a membership change); the loser *follows* — it
 polls the L2 for the winner's result instead of duplicating the
 computation.  Leases carry a wall-clock expiry so a crashed holder
 cannot wedge its keys: an expired lease is stolen with an atomic
-replace.  The lease is an optimization, never a correctness
+replace.  A lease file whose record does not parse (its winner has
+created it but not yet written it) counts as held until its mtime is a
+TTL old.  The lease is an optimization, never a correctness
 requirement — bodies are deterministic, so the worst case of a lost
 lease race is one duplicate computation of the same bytes.
 
@@ -147,10 +149,9 @@ class SharedL2Store:
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
         except FileExistsError:
-            holder = self.lease_holder(key)
-            if holder is not None and holder["expires"] > time.time():
+            if self.lease_held(key, ttl_s):
                 return False
-            # Expired (or unreadable) lease: steal it atomically.
+            # Expired (or long unreadable) lease: steal it atomically.
             # Two simultaneous stealers both "win" — harmless, since
             # bodies are deterministic and the L2 write is atomic.
             try:
@@ -184,6 +185,19 @@ class SharedL2Store:
                 not isinstance(record.get("expires"), (int, float)):
             return None
         return record
+
+    def lease_held(self, key: str, ttl_s: float) -> bool:
+        """Whether a live lease on ``key`` exists: a record until it
+        expires, a file that does not parse (its winner has not written
+        it yet) until its mtime is ``ttl_s`` old."""
+        holder = self.lease_holder(key)
+        if holder is not None:
+            return holder["expires"] > time.time()
+        try:
+            mtime = os.stat(self._lease_path(key)).st_mtime
+        except OSError:
+            return False  # no lease file
+        return time.time() - mtime < ttl_s
 
     def release_lease(self, key: str, owner: str) -> None:
         """Drop ``owner``'s lease on ``key`` (no-op if not held)."""

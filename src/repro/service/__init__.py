@@ -27,12 +27,11 @@ Public surface:
 * :mod:`~repro.service.agreement` — the static tier's calibration
   loop (:class:`CalibrationSampler`, :class:`AgreementLedger`).
 
-The ``advise`` request kind is the *static fast tier*: it is answered
-inline on the frontend from the abstract-interpretation predictor
-(:func:`repro.model.predict_kernel`) and never occupies a queue slot
-or worker process; a sampling calibration loop replays a fraction of
-requests exactly and records static-vs-exact deltas in a durable
-agreement ledger.
+The ``advise`` request kind is the *static tier*: a worker computes
+its body with the abstract-interpretation predictor
+(:func:`repro.model.predict_kernel`), and a sampling calibration loop
+replays a fraction of cold ``advise`` requests exactly and records
+static-vs-exact deltas in a durable agreement ledger.
 
 Submodules load lazily, so importing this package never drags asyncio
 machinery into the base import graph.

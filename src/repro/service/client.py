@@ -209,12 +209,10 @@ class ServiceClient:
     # -- control conveniences ------------------------------------------
 
     def advise(self, kernel: str, **params) -> Response:
-        """One static fast-tier prediction for ``kernel``.
+        """One static-tier prediction for ``kernel``.
 
-        Answered inline by the server's static tier — microseconds on
-        a warm process, never a simulator worker.  Accepts the same
-        params as ``run``/``bound`` (``variant``/``options``, ``n``,
-        ``max_cycles``).
+        Accepts the same params as ``run``/``bound``
+        (``variant``/``options``, ``n``, ``max_cycles``).
         """
         return self.request("advise", {"kernel": kernel, **params})
 
@@ -241,7 +239,7 @@ def offline_response(kind: str, params: dict | None = None) -> Response:
     """
     from .jobs import execute_request
 
-    request = canonicalize(kind, {} if params is None else params)
+    request = canonicalize(kind, params)
     payload = execute_request(request.payload)
     if payload["status"] == "ok":
         return Response(

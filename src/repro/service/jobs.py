@@ -132,12 +132,7 @@ def _compute_analyze(payload: dict) -> dict:
 
 
 def _compute_advise(payload: dict) -> dict:
-    """The static fast tier: never constructs a simulator.
-
-    The server answers ``advise`` inline on the frontend (the payload
-    still routes through this table so offline clients and calibration
-    replays share one deterministic body).
-    """
+    """The static tier: never constructs a simulator."""
     from ..model import predict_kernel
 
     prediction = predict_kernel(

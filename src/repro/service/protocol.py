@@ -14,9 +14,8 @@ request ``id`` and may arrive out of order.
 ``report``, ``sweep``) or a control kind handled by the frontend
 without touching the worker pool (:data:`CONTROL_KINDS` — ``ping``,
 ``healthz``, ``metrics``, ``drain``).  ``deadline_s`` (optional, top
-level) bounds the request's wall clock.  ``advise`` is the *fast
-tier*: it is computed inline on the frontend from the static
-prediction engine and never occupies a worker slot.
+level) bounds the request's wall clock.  A cold compute request,
+``advise`` included, is a worker-pool job.
 
 **Response envelope**::
 
@@ -73,8 +72,7 @@ from ..machines import builtin_machine, tuned_options
 from ..memo import Memo
 from ..sweep.spec import OPTION_VARIANTS, SweepTask, digest
 
-#: Compute kinds (keyed and cached; all but ``advise`` run on the
-#: worker pool — ``advise`` is answered inline by the static tier).
+#: Compute kinds (keyed and cached; a cold one is a worker-pool job).
 REQUEST_KINDS = (
     "run", "bound", "mac", "ax", "lint", "analyze", "advise",
     "report", "sweep",
@@ -405,14 +403,17 @@ def _memo_key(kind: str, params) -> bytes | None:
     return hashlib.blake2b(text.encode("ascii"), digest_size=16).digest()
 
 
-def canonicalize(kind: str, params: dict) -> Request:
+def canonicalize(kind: str, params: dict | None) -> Request:
     """Validate and canonicalize one compute request.
 
-    Raises :class:`ProtocolError` (a ``usage`` error) on anything
-    malformed, *before* the request consumes queue or worker capacity.
-    A (kind, params) seen before in this process returns the request
-    derived the first time; errors are raised on every call.
+    ``None`` params mean ``{}``.  Raises :class:`ProtocolError` (a
+    ``usage`` error) on anything malformed, *before* the request
+    consumes queue or worker capacity.  A (kind, params) seen before in
+    this process returns the request derived the first time; errors
+    are raised on every call.
     """
+    if params is None:
+        params = {}
     key = _memo_key(kind, params)
     if key is None:
         return _derive_request(kind, params)

@@ -2,14 +2,16 @@
 
 Architecture::
 
-    clients ──NDJSON──▶ asyncio frontend ──▶ admission control
-                                           ──▶ L1 memo ──▶ shared L2
+    clients ──NDJSON──▶ asyncio frontend ──▶ L1 memo ──▶ shared L2
+                        (control kinds)      (warm hits end here)
+                                           ──▶ admission control
                                            ──▶ single-flight table
+                                           ──▶ L2 lease
                                            ──▶ WorkerPool (processes)
 
 The frontend owns everything non-deterministic — sockets, queueing,
-deadlines, metrics — while response *bodies* are produced by the
-deterministic worker entry point
+deadlines, metrics — and computes nothing: every cold compute request,
+``advise`` included, is a job for the deterministic worker entry point
 (:func:`repro.service.jobs.execute_request`), so a body is
 byte-identical whether it was computed, coalesced, cached, or produced
 offline by the client library.
@@ -117,7 +119,7 @@ class ServiceConfig:
     job_timeout_s: float | None = None
     #: crash/hang retry budget for worker jobs
     retries: int = 2
-    #: sample every Nth ``advise`` request for an exact replay in the
+    #: sample every Nth cold ``advise`` for an exact replay in the
     #: worker pool (0 = calibration off)
     calibrate_every: int = 0
     #: durable agreement-ledger path (None = verdicts not persisted)
@@ -401,9 +403,7 @@ class AnalysisServer:
             if kind in CONTROL_KINDS:
                 envelope = self._control(request_id, kind)
             else:
-                params = frame.get("params")
-                request = canonicalize(kind,
-                                       {} if params is None else params)
+                request = canonicalize(kind, frame.get("params"))
                 deadline_s = frame.get("deadline_s")
                 if deadline_s is not None:
                     request = Request(
@@ -507,33 +507,6 @@ class AnalysisServer:
                 status="rejected", key=request.key,
             )
 
-        if request.kind == "advise":
-            # The static fast tier: answered inline on the frontend —
-            # never a queue slot, never a worker process.  The shared
-            # jobs table keeps the body byte-identical to the offline
-            # client path.
-            payload = execute_request(request.payload)
-            if payload["status"] != "ok":
-                self.metrics.count("errors")
-                return {
-                    "id": request_id, "status": "error",
-                    "kind": request.kind, "key": request.key,
-                    "error": dict(payload["error"]),
-                }
-            body = payload["body"]
-            self.cache.put(request.key, body)
-            if self.l2 is not None:
-                self.l2.put(request.key, request.kind, body)
-            self.metrics.count("static_answers")
-            self.metrics.count_shard("static_answers")
-            if self.calibration.should_sample():
-                task = asyncio.create_task(
-                    self._calibrate(request, body)
-                )
-                self._flights.add(task)
-                task.add_done_callback(self._flights.discard)
-            return envelope_ok(body, "computed")
-
         leader = self.singleflight.leader(request.key)
         rejection = self.admission.admit(client_id, leader)
         if rejection is not None:
@@ -549,11 +522,7 @@ class AnalysisServer:
         try:
             if leader:
                 flight = self.singleflight.begin(request.key)
-                flight_task = asyncio.create_task(
-                    self._compute_flight(request, request.key)
-                )
-                self._flights.add(flight_task)
-                flight_task.add_done_callback(self._flights.discard)
+                self._track(self._compute_flight(request, request.key))
                 origin = "computed"
             else:
                 flight = self.singleflight.join(request.key)
@@ -593,11 +562,10 @@ class AnalysisServer:
             if payload["status"] == "ok":
                 return envelope_ok(payload["body"], origin)
             self.metrics.count("errors")
-            error = dict(payload["error"])
             return {
                 "id": request_id, "status": "error",
                 "kind": request.kind, "key": request.key,
-                "error": error,
+                "error": dict(payload["error"]),
             }
         finally:
             self._active -= 1
@@ -642,6 +610,12 @@ class AnalysisServer:
         elif verdict.action == "widened":
             self.metrics.count("calibration_widenings")
 
+    def _track(self, coro) -> None:
+        """Run ``coro`` as a flight that graceful drain waits for."""
+        task = asyncio.create_task(coro)
+        self._flights.add(task)
+        task.add_done_callback(self._flights.discard)
+
     async def _compute_flight(self, request: Request,
                               key: str) -> None:
         """Leader-side computation: one pool job per content key."""
@@ -654,7 +628,26 @@ class AnalysisServer:
             return
         if payload["status"] == "ok":
             self.cache.put(key, payload["body"])
+            if request.kind == "advise" and \
+                    self.calibration.should_sample():
+                self._track(self._calibrate(request, payload["body"]))
         self.singleflight.finish(key, result=payload)
+
+    def _run_job(self, request: Request, key: str) -> dict:
+        """One pool job.  A body computed here counts under
+        ``static_answers`` for ``advise``, ``computed`` otherwise."""
+        payload = self.pool.run(
+            execute_request, request.payload,
+            key=key, timeout=self.config.job_timeout_s,
+        )
+        if payload["status"] == "ok":
+            counter = (
+                "static_answers" if request.kind == "advise"
+                else "computed"
+            )
+            self.metrics.count(counter)
+            self.metrics.count_shard(counter)
+        return payload
 
     def _compute_with_lease(self, request: Request, key: str) -> dict:
         """One flight's computation, coalesced fleet-wide.
@@ -673,17 +666,10 @@ class AnalysisServer:
         sleeps never block the event loop.
         """
         if self.l2 is None:
-            payload = self.pool.run(
-                execute_request, request.payload,
-                key=key, timeout=self.config.job_timeout_s,
-            )
-            if payload["status"] == "ok":
-                self.metrics.count("computed")
-                self.metrics.count_shard("computed")
-            return payload
+            return self._run_job(request, key)
         owner = self.config.shard_id or f"pid-{os.getpid()}"
-        if self.l2.acquire_lease(key, owner,
-                                 self.config.lease_ttl_s):
+        ttl_s = self.config.lease_ttl_s
+        if self.l2.acquire_lease(key, owner, ttl_s):
             # Re-check the L2 under the lease: another replica may
             # have published (and released) between our dispatch-time
             # probe and this acquisition.
@@ -693,29 +679,26 @@ class AnalysisServer:
                 self.metrics.count_shard("fleet_coalesced")
                 return {"status": "ok", "body": body}
         else:
-            deadline = time.monotonic() + self.config.lease_ttl_s
-            while time.monotonic() < deadline:
+            deadline = time.monotonic() + ttl_s
+            while True:
+                # Look at the lease before the body: the winner
+                # publishes before it releases, so once the lease is
+                # gone the read below sees any body it left.
+                held = time.monotonic() < deadline and \
+                    self.l2.lease_held(key, ttl_s)
                 body = self.l2.get(key)
                 if body is not None:
                     self.metrics.count_shard("fleet_coalesced")
                     return {"status": "ok", "body": body}
-                holder = self.l2.lease_holder(key)
-                if holder is None or \
-                        holder["expires"] <= time.time():
-                    break  # winner released or died resultless
+                if not held:
+                    break  # released, expired, or waited a full TTL
                 time.sleep(self.config.lease_poll_s)
             # Not published in time: compute it ourselves.  The
             # duplicate work costs cycles, never bytes.
-            self.l2.acquire_lease(key, owner,
-                                  self.config.lease_ttl_s)
+            self.l2.acquire_lease(key, owner, ttl_s)
         try:
-            payload = self.pool.run(
-                execute_request, request.payload,
-                key=key, timeout=self.config.job_timeout_s,
-            )
+            payload = self._run_job(request, key)
             if payload["status"] == "ok":
-                self.metrics.count("computed")
-                self.metrics.count_shard("computed")
                 # Publish *before* releasing the lease so a follower
                 # never sees the lease vanish with no body to read.
                 self.l2.put(key, request.kind, payload["body"])

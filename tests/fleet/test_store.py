@@ -1,6 +1,7 @@
 """Shared L2 store unit tests: bodies, leases, degradation."""
 
 import json
+import os
 import time
 
 import pytest
@@ -91,10 +92,27 @@ class TestLeases:
 
     def test_unreadable_lease_is_stolen(self, tmp_path):
         store = SharedL2Store(str(tmp_path))
-        with open(store._lease_path("k"), "w",
-                  encoding="utf-8") as fh:
+        path = store._lease_path("k")
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("not json")
+        aged = time.time() - 31.0
+        os.utime(path, (aged, aged))
         assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
+
+    def test_fresh_empty_lease_is_held_until_the_ttl(self, tmp_path):
+        # A winner creates its lease file before it writes the record;
+        # a contender reading it in between must not take the lease.
+        store = SharedL2Store(str(tmp_path))
+        path = store._lease_path("k")
+        open(path, "w", encoding="utf-8").close()
+        assert store.lease_holder("k") is None
+        assert not store.acquire_lease("k", "replica-1", ttl_s=30.0)
+        assert store.lease_held("k", ttl_s=30.0)
+        aged = time.time() - 31.0
+        os.utime(path, (aged, aged))
+        assert not store.lease_held("k", ttl_s=30.0)
+        assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
+        assert store.lease_holder("k")["owner"] == "replica-1"
 
     def test_leases_are_per_key(self, tmp_path):
         store = SharedL2Store(str(tmp_path))

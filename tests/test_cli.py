@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.sweep import reset_sweep_defaults
 
 
@@ -110,6 +110,17 @@ class TestErrorPaths:
     def test_experiment_bad_jobs_value(self, capsys):
         assert main(["experiment", "figure1", "--jobs", "0"]) == 5
         assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--socket", "s.sock", "--cache", "100"],
+        ["run", "lfk1", "--prof"],
+    ])
+    def test_abbreviated_long_option_is_refused(self, argv, capsys):
+        # Parsed only: main() would start a server for the first one.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSweepCommand:
