@@ -19,6 +19,7 @@ and service processes start without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from ..analysis.staticpred import StaticPrediction, predict_program
@@ -130,7 +131,16 @@ class StaticKernelPrediction:
         }
 
     def to_payload(self) -> dict[str, Any]:
-        """JSON-able service body for the ``advise`` request kind."""
+        """JSON-able service body for the ``advise`` request kind.
+
+        Built on the first call; every later call returns the same
+        dict, so a memoized prediction gives each caller that one
+        object.  Treat it as read-only, like a memoized ``KernelRun``.
+        """
+        return self._payload
+
+    @cached_property
+    def _payload(self) -> dict[str, Any]:
         analysis = self.analysis
         low, high = self.cpl_interval()
         if analysis is None:

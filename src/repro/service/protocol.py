@@ -3,7 +3,10 @@
 **Framing.**  Both directions speak newline-delimited JSON: one request
 or response object per ``\\n``-terminated line, UTF-8, no length
 prefix.  A connection may pipeline many requests; responses carry the
-request ``id`` and may arrive out of order.
+request ``id`` and may arrive out of order.  A string or integer ``id``
+comes back unchanged, a missing or ``null`` one is replaced by an
+``auto-N`` string, and any other value is a ``usage`` error
+(:func:`frame_id`).
 
 **Request envelope**::
 
@@ -363,8 +366,9 @@ REQUEST_MEMO_MAX = 1024
 
 #: The exact leaf types ``json.loads`` produces.
 _JSON_LEAVES = (str, int, float, bool, type(None))
-#: ``json.dumps(..., sort_keys=True)`` without building an encoder per call.
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: call: memo keys, frames, body bytes and envelope heads all use it.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 #: Canonical :class:`Request` objects, keyed by a (kind, params) digest.
@@ -397,7 +401,7 @@ def _memo_key(kind: str, params) -> bytes | None:
     try:
         if not _is_plain_json(params):
             return None
-        text = _KEY_ENCODER.encode([kind, params])
+        text = _ENCODER.encode([kind, params])
     except RecursionError:  # nested too deep, or circular
         return None
     return hashlib.blake2b(text.encode("ascii"), digest_size=16).digest()
@@ -581,7 +585,24 @@ def _derive_request(kind: str, params: dict) -> Request:
 
 def encode_line(obj: dict) -> bytes:
     """One NDJSON frame (deterministic key order)."""
-    return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+    return (_ENCODER.encode(obj) + "\n").encode("utf-8")
+
+
+def encode_body(body: dict) -> bytes:
+    """A body's canonical bytes, ``json.dumps(body, sort_keys=True)``."""
+    return _ENCODER.encode(body).encode("utf-8")
+
+
+def splice_line(head: dict, body: bytes) -> bytes:
+    """The frame ``encode_line({**head, "body": body})`` would give, for
+    a body already held as :func:`encode_body` bytes.
+
+    ``"body"`` sorts before every envelope key, so the body opens the
+    frame and the encoded ``head`` (never empty) follows it.
+    """
+    return b'{"body": %b, %b\n' % (
+        body, _ENCODER.encode(head)[1:].encode("utf-8")
+    )
 
 
 def decode_line(raw: bytes | str) -> dict:
@@ -599,7 +620,18 @@ def decode_line(raw: bytes | str) -> dict:
     return obj
 
 
-def error_response(request_id: str, kind: str, code: str,
+def frame_id(frame: dict) -> str | int | None:
+    """A request frame's ``id``: a string or an integer (not a bool) as
+    sent, or None when it is missing or ``null`` (the server then
+    assigns one).  Any other value raises :class:`ProtocolError`."""
+    value = frame.get("id")
+    if value is None or isinstance(value, str) or (
+            isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ProtocolError("'id' must be a string or an integer")
+
+
+def error_response(request_id: str | int, kind: str, code: str,
                    message: str, *, status: str = "error",
                    retry_after_s: float | None = None,
                    key: str = "") -> dict:

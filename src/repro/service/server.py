@@ -2,19 +2,26 @@
 
 Architecture::
 
-    clients ──NDJSON──▶ asyncio frontend ──▶ L1 memo ──▶ shared L2
-                        (control kinds)      (warm hits end here)
-                                           ──▶ admission control
-                                           ──▶ single-flight table
-                                           ──▶ L2 lease
-                                           ──▶ WorkerPool (processes)
+    clients ──NDJSON──▶ connection read loop ──▶ L1 memo ──▶ shared L2
+                        (one synchronous step    (body bytes; warm
+                         per frame: control,      hits end here)
+                         usage errors,         ──▶ admission control
+                         rejections, hits)     ──▶ single-flight table
+                                  │            ──▶ L2 lease
+                                  │            ──▶ WorkerPool (processes)
+                                  ▼
+                        one task per cold frame: awaits its flight,
+                        writes its reply
 
 The frontend owns everything non-deterministic — sockets, queueing,
 deadlines, metrics — and computes nothing: every cold compute request,
 ``advise`` included, is a job for the deterministic worker entry point
 (:func:`repro.service.jobs.execute_request`), so a body is
 byte-identical whether it was computed, coalesced, cached, or produced
-offline by the client library.
+offline by the client library.  The L1 holds each body as its
+canonical bytes, encoded once when the body enters it, and every ``ok``
+reply splices those bytes into its envelope
+(:func:`~repro.service.protocol.splice_line`).
 
 Operational behavior:
 
@@ -54,6 +61,7 @@ import socket
 import threading
 import time
 import weakref
+from collections.abc import Coroutine
 from dataclasses import dataclass
 
 from ..errors import ExperimentError
@@ -75,11 +83,18 @@ from .protocol import (
     Request,
     canonicalize,
     decode_line,
+    encode_body,
     encode_line,
     error_response,
+    frame_id,
     positive_real,
+    splice_line,
 )
 from .singleflight import SingleFlight
+
+#: Bytes one socket read takes, and bytes a connection's read loop
+#: answers before it yields to the other connections.
+_READ_SIZE = 64 * 1024
 
 #: Live servers, so fork hooks can close inherited listen sockets.
 _LIVE_SERVERS: "weakref.WeakSet[AnalysisServer]" = weakref.WeakSet()
@@ -151,8 +166,11 @@ class AnalysisServer:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.metrics = ServiceMetrics(shard=config.shard_id)
-        #: the L1: response bodies keyed by request content digest
-        self.cache: Memo[str, dict] = Memo("service.l1", config.cache_max)
+        #: the L1: each response body's canonical bytes
+        #: (:func:`~repro.service.protocol.encode_body`), keyed by the
+        #: request's content digest
+        self.cache: Memo[str, bytes] = Memo("service.l1",
+                                            config.cache_max)
         if config.l2_path is not None:
             from ..fleet.store import SharedL2Store
 
@@ -338,7 +356,7 @@ class AnalysisServer:
         # unless earlier frees happened to raise that threshold, every
         # read maps and unmaps fresh pages.  Requests are single short
         # lines; 64 KiB reads come from the heap.
-        writer.transport.max_size = 64 * 1024
+        writer.transport.max_size = _READ_SIZE
         self._conn_counter += 1
         client_id = f"client-{self._conn_counter}"
         self.metrics.count("connections")
@@ -355,26 +373,38 @@ class AnalysisServer:
         conn_task = asyncio.current_task()
         if conn_task is not None:
             self._conn_tasks.add(conn_task)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
+        replies: set[asyncio.Task] = set()
+        unyielded = 0
         try:
             while True:
                 line = await reader.readline()
                 if not line:
                     break
-                if not line.strip():
-                    continue
-                task = asyncio.create_task(
-                    self._serve_line(line, client_id, writer,
-                                     write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
+                if line.strip():
+                    reply = self._answer(line, client_id)
+                    if isinstance(reply, bytes):
+                        writer.write(reply)
+                    else:
+                        task = asyncio.create_task(
+                            self._write_when_done(writer, reply)
+                        )
+                        replies.add(task)
+                        task.add_done_callback(replies.discard)
+                # readline returns a buffered line without yielding, and
+                # no reply awaits drain (a client that sends a long
+                # pipeline before it reads would block on its own unread
+                # replies), so a client that pipelines hits would hold
+                # the loop: let the other connections run once per
+                # read's worth of frames.
+                unyielded += len(line)
+                if unyielded >= _READ_SIZE:
+                    unyielded = 0
+                    await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            if replies:
+                await asyncio.gather(*replies, return_exceptions=True)
             self._writers.discard(writer)
             self._conn_fds.discard(conn_fd)
             if conn_task is not None:
@@ -382,38 +412,35 @@ class AnalysisServer:
             writer.close()
             self._maybe_set_drained()
 
-    async def _write(self, writer: asyncio.StreamWriter,
-                     lock: asyncio.Lock, envelope: dict) -> None:
-        async with lock:
-            try:
-                writer.write(encode_line(envelope))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # client went away; the result is cached anyway
+    def _answer(self, line: bytes,
+                client_id: str) -> bytes | Coroutine[None, None, bytes]:
+        """Answer one frame on the read loop, without awaiting.
 
-    async def _serve_line(self, line: bytes, client_id: str,
-                          writer: asyncio.StreamWriter,
-                          lock: asyncio.Lock) -> None:
-        request_id = ""
+        Control kinds, ``usage`` errors, rejections and L1/L2 hits
+        return their reply line.  A cold frame leads or joins its
+        flight and returns the coroutine that awaits the flight and
+        returns the reply line; it must be awaited, since it returns
+        the frame's admission.
+        """
+        request_id: str | int = ""
         kind = ""
         try:
             frame = decode_line(line)
-            request_id = str(frame.get("id") or self._next_id())
             kind = str(frame.get("kind", ""))
+            request_id = frame_id(frame)
+            if request_id is None:
+                request_id = self._next_id()
             if kind in CONTROL_KINDS:
-                envelope = self._control(request_id, kind)
+                return encode_line(self._control(request_id, kind))
+            request = canonicalize(kind, frame.get("params"))
+            deadline_s = frame.get("deadline_s")
+            if deadline_s is not None:
+                deadline_s = positive_real("deadline_s", deadline_s)
             else:
-                request = canonicalize(kind, frame.get("params"))
-                deadline_s = frame.get("deadline_s")
-                if deadline_s is not None:
-                    request = Request(
-                        kind=request.kind, key=request.key,
-                        payload=request.payload,
-                        deadline_s=positive_real("deadline_s",
-                                                 deadline_s),
-                    )
-                envelope = await self._dispatch(request, client_id,
-                                                request_id)
+                deadline_s = request.deadline_s or \
+                    self.config.default_deadline_s
+            return self._dispatch(request, deadline_s, client_id,
+                                  request_id)
         except ProtocolError as exc:
             self.metrics.count("errors")
             envelope = error_response(request_id, kind, "usage",
@@ -424,7 +451,7 @@ class AnalysisServer:
             self.metrics.count("errors")
             envelope = error_response(request_id, kind,
                                       "infrastructure", str(exc))
-        await self._write(writer, lock, envelope)
+        return encode_line(envelope)
 
     def _next_id(self) -> str:
         self._auto_id += 1
@@ -432,7 +459,7 @@ class AnalysisServer:
 
     # -- control requests ----------------------------------------------
 
-    def _control(self, request_id: str, kind: str) -> dict:
+    def _control(self, request_id: str | int, kind: str) -> dict:
         self.metrics.count(f"requests:{kind}")
         if kind == "ping":
             body = {"pong": True}
@@ -468,109 +495,127 @@ class AnalysisServer:
 
     # -- compute requests ----------------------------------------------
 
-    async def _dispatch(self, request: Request, client_id: str,
-                        request_id: str) -> dict:
+    def _dispatch(self, request: Request, deadline_s: float | None,
+                  client_id: str, request_id: str | int
+                  ) -> bytes | Coroutine[None, None, bytes]:
+        """Hit, refuse, or join a flight: :meth:`_answer` for one valid
+        compute request.  Nothing here awaits, so a flight cannot finish
+        between the cache miss and the single-flight decision."""
         t0 = time.perf_counter()
         self.metrics.count(f"requests:{request.kind}")
-
-        def envelope_ok(body: dict, origin: str) -> dict:
-            elapsed = 1e3 * (time.perf_counter() - t0)
-            self.metrics.observe(request.kind, elapsed)
-            return {
-                "id": request_id, "status": "ok",
-                "kind": request.kind, "key": request.key,
-                "origin": origin, "elapsed_ms": round(elapsed, 3),
-                "body": body,
-            }
+        key = request.key
 
         # Warm cache: answered without admission, queue, or pool.
         # L1 is this replica's memory; L2 is the fleet's shared
         # directory — an L2 hit is promoted into L1 on the way out.
-        body = self.cache.get(request.key)
+        body = self.cache.get(key)
+        tier = "l1_hits"
+        if body is None and self.l2 is not None:
+            stored = self.l2.get(key)
+            if stored is not None:
+                body = encode_body(stored)
+                self.cache.put(key, body)
+                tier = "l2_hits"
         if body is not None:
             self.metrics.count("cache_hits")
-            self.metrics.count_shard("l1_hits")
-            return envelope_ok(body, "cache")
-        if self.l2 is not None:
-            body = self.l2.get(request.key)
-            if body is not None:
-                self.cache.put(request.key, body)
-                self.metrics.count("cache_hits")
-                self.metrics.count_shard("l2_hits")
-                return envelope_ok(body, "cache")
+            self.metrics.count_shard(tier)
+            return self._ok_line(request, request_id, body, "cache", t0)
 
         if self.draining:
             self.metrics.count("rejections")
-            return error_response(
+            return encode_line(error_response(
                 request_id, request.kind, "unavailable",
                 "server is draining; no new computations accepted",
-                status="rejected", key=request.key,
-            )
+                status="rejected", key=key,
+            ))
 
-        leader = self.singleflight.leader(request.key)
+        leader = self.singleflight.leader(key)
         rejection = self.admission.admit(client_id, leader)
         if rejection is not None:
             self.metrics.count("rejections")
-            return error_response(
+            return encode_line(error_response(
                 request_id, request.kind, "busy", rejection.reason,
                 status="rejected",
-                retry_after_s=rejection.retry_after_s,
-                key=request.key,
-            )
+                retry_after_s=rejection.retry_after_s, key=key,
+            ))
 
         self._active += 1
+        if leader:
+            flight = self.singleflight.begin(key)
+            self._track(self._compute_flight(request, key))
+            origin = "computed"
+        else:
+            flight = self.singleflight.join(key)
+            self.metrics.count("coalesced")
+            self.metrics.count_shard("coalesced")
+            origin = "coalesced"
+        return self._flight_line(flight, request, request_id,
+                                 deadline_s, origin, t0, client_id,
+                                 leader)
+
+    def _ok_line(self, request: Request, request_id: str | int,
+                 body: bytes, origin: str, t0: float) -> bytes:
+        elapsed = 1e3 * (time.perf_counter() - t0)
+        self.metrics.observe(request.kind, elapsed)
+        return splice_line({
+            "elapsed_ms": round(elapsed, 3), "id": request_id,
+            "key": request.key, "kind": request.kind,
+            "origin": origin, "status": "ok",
+        }, body)
+
+    @staticmethod
+    async def _write_when_done(
+            writer: asyncio.StreamWriter,
+            reply: Coroutine[None, None, bytes]) -> None:
+        """A cold frame's task: await its reply line, then write it.
+        A gone client's transport drops the line; the body is cached
+        anyway."""
+        writer.write(await reply)
+
+    async def _flight_line(self, flight: asyncio.Future,
+                           request: Request, request_id: str | int,
+                           deadline_s: float | None, origin: str,
+                           t0: float, client_id: str,
+                           leader: bool) -> bytes:
+        """The reply line of an admitted cold frame, once its flight
+        ends or its deadline passes; returns its admission."""
         try:
-            if leader:
-                flight = self.singleflight.begin(request.key)
-                self._track(self._compute_flight(request, request.key))
-                origin = "computed"
+            if deadline_s is None:
+                result = await asyncio.shield(flight)
             else:
-                flight = self.singleflight.join(request.key)
-                self.metrics.count("coalesced")
-                self.metrics.count_shard("coalesced")
-                origin = "coalesced"
-            deadline_s = (
-                request.deadline_s
-                if request.deadline_s is not None
-                else self.config.default_deadline_s
-            )
-            try:
-                if deadline_s is None:
-                    payload = await asyncio.shield(flight)
-                else:
-                    payload = await asyncio.wait_for(
-                        asyncio.shield(flight), timeout=deadline_s
-                    )
-            except asyncio.TimeoutError:
-                self.metrics.count("deadline_expirations")
-                return error_response(
-                    request_id, request.kind, "budget",
-                    f"request deadline ({deadline_s:g}s) exceeded; "
-                    "the computation continues and will be cached",
-                    key=request.key,
+                result = await asyncio.wait_for(
+                    asyncio.shield(flight), timeout=deadline_s
                 )
-            except Exception as exc:
-                # ExperimentError: pool retries exhausted.  Anything
-                # else is an unexpected worker exception (e.g. an
-                # injected deterministic raise) — also infrastructure,
-                # and never silently dropped.
-                self.metrics.count("errors")
-                return error_response(
-                    request_id, request.kind, "infrastructure",
-                    str(exc), key=request.key,
-                )
-            if payload["status"] == "ok":
-                return envelope_ok(payload["body"], origin)
+        except asyncio.TimeoutError:
+            self.metrics.count("deadline_expirations")
+            return encode_line(error_response(
+                request_id, request.kind, "budget",
+                f"request deadline ({deadline_s:g}s) exceeded; "
+                "the computation continues and will be cached",
+                key=request.key,
+            ))
+        except Exception as exc:
+            # ExperimentError: pool retries exhausted.  Anything else
+            # is an unexpected worker exception (e.g. an injected
+            # deterministic raise) — also infrastructure, and never
+            # silently dropped.
             self.metrics.count("errors")
-            return {
-                "id": request_id, "status": "error",
-                "kind": request.kind, "key": request.key,
-                "error": dict(payload["error"]),
-            }
+            return encode_line(error_response(
+                request_id, request.kind, "infrastructure", str(exc),
+                key=request.key,
+            ))
         finally:
             self._active -= 1
             self.admission.release(client_id, leader)
             self._maybe_set_drained()
+        if isinstance(result, bytes):
+            return self._ok_line(request, request_id, result, origin, t0)
+        self.metrics.count("errors")
+        return encode_line({
+            "id": request_id, "status": "error",
+            "kind": request.kind, "key": request.key,
+            "error": dict(result["error"]),
+        })
 
     async def _calibrate(self, request: Request,
                          static_body: dict) -> None:
@@ -618,7 +663,10 @@ class AnalysisServer:
 
     async def _compute_flight(self, request: Request,
                               key: str) -> None:
-        """Leader-side computation: one pool job per content key."""
+        """Leader-side computation: one pool job per content key.
+
+        The flight resolves to the body's canonical bytes, or to the
+        job's error payload."""
         try:
             payload = await asyncio.to_thread(
                 self._compute_with_lease, request, key
@@ -626,12 +674,14 @@ class AnalysisServer:
         except BaseException as exc:
             self.singleflight.finish(key, error=exc)
             return
-        if payload["status"] == "ok":
-            self.cache.put(key, payload["body"])
-            if request.kind == "advise" and \
-                    self.calibration.should_sample():
-                self._track(self._calibrate(request, payload["body"]))
-        self.singleflight.finish(key, result=payload)
+        if payload["status"] != "ok":
+            self.singleflight.finish(key, result=payload)
+            return
+        body = encode_body(payload["body"])
+        self.cache.put(key, body)
+        if request.kind == "advise" and self.calibration.should_sample():
+            self._track(self._calibrate(request, payload["body"]))
+        self.singleflight.finish(key, result=body)
 
     def _run_job(self, request: Request, key: str) -> dict:
         """One pool job.  A body computed here counts under

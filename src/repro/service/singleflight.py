@@ -22,10 +22,6 @@ class SingleFlight:
 
     def __init__(self) -> None:
         self._inflight: dict[str, asyncio.Future] = {}
-        #: requests that attached to an existing flight
-        self.coalesced = 0
-        #: flights led (one computation each)
-        self.led = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
@@ -39,16 +35,12 @@ class SingleFlight:
         assert key not in self._inflight, f"duplicate flight for {key}"
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
-        self.led += 1
         return future
 
     def join(self, key: str) -> asyncio.Future | None:
-        """The existing flight for ``key`` (counts a coalesce), or
-        None when the caller must lead."""
-        future = self._inflight.get(key)
-        if future is not None:
-            self.coalesced += 1
-        return future
+        """The existing flight for ``key``, or None when the caller
+        must lead."""
+        return self._inflight.get(key)
 
     def finish(self, key: str, result=None,
                error: BaseException | None = None) -> None:
@@ -60,8 +52,3 @@ class SingleFlight:
             future.set_exception(error)
         else:
             future.set_result(result)
-
-    async def wait(self, key: str, future: asyncio.Future):
-        """Follower-side wait that never consumes the shared future's
-        exception context (each follower gets its own copy)."""
-        return await asyncio.shield(future)
