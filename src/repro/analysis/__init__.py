@@ -13,9 +13,8 @@ The subsystem layers, bottom to top:
   vector counters from a trip profile (the differential oracle);
 * :mod:`repro.analysis.critpath` — chime-level critical-path / binding
   pipe estimation;
-* :mod:`repro.analysis.staticpred` — the static prediction tier: an
-  abstract interpreter that reproduces the simulator's cycles and
-  counters (bit-exactly on provable control flow) without running it.
+* :mod:`repro.analysis.staticpred` — the ``advise`` body's
+  prediction: a kernel's memoized simulated run, always exact.
 
 Entry points: :func:`analyze_program` (memoized CFG + dataflow),
 :func:`lint_program`, :func:`static_counts`,
@@ -44,11 +43,7 @@ from .checks import (
 from .counts import StaticCounts, StripInfo, estimate_counts, find_strip_loop
 from .critpath import ChimeCost, CriticalPath, critical_path
 from .dataflow import DataflowResult, solve
-from .staticpred import (
-    MODEL_TIER_WIDEN,
-    StaticPrediction,
-    predict_program,
-)
+from .staticpred import StaticPrediction, predict_program
 
 __all__ = [
     "BasicBlock",
@@ -60,7 +55,6 @@ __all__ = [
     "Finding",
     "LintOptions",
     "Loop",
-    "MODEL_TIER_WIDEN",
     "ProgramAnalysis",
     "Severity",
     "StaticCounts",

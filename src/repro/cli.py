@@ -530,15 +530,9 @@ def _cmd_serve(args) -> int:
         default_deadline_s=args.deadline,
         job_timeout_s=args.job_timeout,
         retries=args.retries,
-        calibrate_every=args.calibrate_every,
-        ledger_path=args.ledger,
         shard_id=args.shard_id,
         l2_path=args.l2,
         lease_ttl_s=args.lease_ttl,
-        **(
-            {"agreement_gate": args.agreement_gate}
-            if args.agreement_gate is not None else {}
-        ),
     )
 
     def announce(server) -> None:
@@ -1003,21 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--retries", type=int, default=2, metavar="N",
         help="retry budget for crashed/hung worker jobs (default 2)",
-    )
-    serve_cmd.add_argument(
-        "--calibrate-every", type=int, default=0, metavar="N",
-        help="replay every Nth cold advise exactly and record the "
-        "static-vs-exact delta in the agreement ledger (default 0 = "
-        "off)",
-    )
-    serve_cmd.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="durable agreement-ledger log for calibration verdicts",
-    )
-    serve_cmd.add_argument(
-        "--agreement-gate", type=float, default=None, metavar="FRAC",
-        help="relative cycle-error gate for static predictions "
-        "(default 0.01)",
     )
     serve_cmd.add_argument(
         "--shard-id", default=None, metavar="NAME",

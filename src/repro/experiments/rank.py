@@ -103,7 +103,7 @@ def run_rank(
         descriptions,
         key=lambda d: (geomean_ns(d.name, "bound"), d.name),
     )
-    agreement = [d.name for d in simulated] == [d.name for d in bounded]
+    same_order = [d.name for d in simulated] == [d.name for d in bounded]
 
     table = TextTable(
         ["rank", "machine", "clock ns",
@@ -175,7 +175,7 @@ def run_rank(
             f"{d.name}: {d.summary()}" for d in descriptions
         ),
         "static t_MACS bound "
-        + ("reproduces" if agreement else "does NOT reproduce")
+        + ("reproduces" if same_order else "does NOT reproduce")
         + " the simulated machine order",
     ]
     return ExperimentResult(
@@ -187,7 +187,7 @@ def run_rank(
             "machines": [d.name for d in descriptions],
             "kernels": list(kernel_names),
             "ranking": ranking,
-            "bound_agreement": agreement,
+            "bound_same_order": same_order,
             "schedule_machine": target.name,
             "schedule_kernel": kernel,
             "schedule_ranking": schedule_ranking,

@@ -15,7 +15,7 @@ Public surface:
   regeneration;
 * :func:`workload_hmean_mflops`, :func:`render_hierarchy`;
 * :func:`predict_kernel` / :class:`StaticKernelPrediction` — the
-  static serving tier (full MACS answers without simulation).
+  ``advise`` answer (MACS bounds plus the memoized run's ``t_p``).
 """
 
 from .advisor import Advice, AdviceTarget, advise, advise_report
@@ -50,11 +50,7 @@ from .macs import (
     macs_f_bound,
     macs_m_bound,
 )
-from .statictier import (
-    StaticKernelPrediction,
-    known_initial_memory,
-    predict_kernel,
-)
+from .statictier import StaticKernelPrediction, predict_kernel
 
 __all__ = [
     "AXMeasurement",
@@ -80,7 +76,6 @@ __all__ = [
     "execute_only_program",
     "extended_macs_bound",
     "inner_loop_body",
-    "known_initial_memory",
     "ma_bound",
     "ma_counts",
     "mac_bound",

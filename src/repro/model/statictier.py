@@ -1,17 +1,17 @@
-"""The static tier: full MACS advisor answers without simulation.
+"""The static tier: full MACS advisor answers for ``advise``.
 
 :func:`predict_kernel` is the serving-side entry point behind the
-service's ``advise`` request kind.  It compiles a kernel (memoized),
-statically predicts its whole-run cycles and counters with
-:func:`repro.analysis.predict_program`, derives the complete MACS
-hierarchy with ``measure=False`` (the M/A/C/S bounds never needed a
-simulator), fuses the predicted ``t_p`` into the hierarchy so gap
-attribution and ranked advice work exactly as they do on a measured
-run, and returns everything as one frozen
-:class:`StaticKernelPrediction`.
+service's ``advise`` request kind.  The M/A/C/S bounds never need a
+simulator, so it derives the MACS hierarchy with ``measure=False``;
+``t_p`` is a measured run, which it takes, with the six counters, from
+:func:`repro.workloads.run_kernel`'s memo — one simulation serves
+``advise``, ``run`` and ``analyze`` for the same kernel, options and
+machine.  It fuses that ``t_p`` into the hierarchy, so gap attribution
+and ranked advice work exactly as they do in ``analyze``, and returns
+everything as one frozen :class:`StaticKernelPrediction`.
 
-Results are memoized on (kernel content, options, config) — the same
-key discipline as ``run_kernel`` — in a :class:`~repro.memo.Memo`, so
+Results are memoized on (kernel content, options, config) — the
+``run_kernel`` key — in a :class:`~repro.memo.Memo`, so
 ``repro.workloads.clear_caches`` empties it and forked sweep workers
 and service processes start without it.
 """
@@ -24,7 +24,6 @@ from typing import Any
 
 from ..analysis.staticpred import StaticPrediction, predict_program
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
-from ..compiler.scalar import LITERALS_SYMBOL, SCALARS_SYMBOL
 from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..memo import Memo
 from ..units import cycles_per_vector_iteration
@@ -34,7 +33,6 @@ from .hierarchy import KernelAnalysis, analyze_kernel
 
 __all__ = [
     "StaticKernelPrediction",
-    "known_initial_memory",
     "predict_kernel",
 ]
 
@@ -43,43 +41,15 @@ _STATIC_MEMO: Memo[tuple[object, ...], StaticKernelPrediction] = Memo(
 )
 
 
-def known_initial_memory(
-    spec: KernelSpec, compiled: CompiledKernel
-) -> dict[int, float]:
-    """The words of the initial memory image the predictor may trust.
-
-    Simulator memory starts zeroed; ``prepare_simulator`` then loads
-    array data (statistically random — opaque to the predictor), the
-    compiler's literal pool, and the kernel's scalar inputs.  The
-    scalar region and the literal pool are therefore fully known:
-    exactly the words strip-mine control flow reads.
-    """
-    known: dict[int, float] = {}
-    layout = compiled.program.layout
-    scalars = layout.lookup(SCALARS_SYMBOL)
-    for word in range(
-        scalars.offset_words,
-        scalars.offset_words + scalars.size_bytes // 8,
-    ):
-        known[word] = 0.0
-    if compiled.literal_values:
-        base = layout.lookup(LITERALS_SYMBOL).offset_words
-        for index, value in enumerate(compiled.literal_values):
-            known[base + index] = float(value)
-    for name, value in spec.scalar_inputs.items():
-        known[compiled.scalar_word_offset(name)] = float(value)
-    return known
-
-
 @dataclass(frozen=True)
 class StaticKernelPrediction:
-    """One static serving answer: prediction + MACS table + advice."""
+    """One ``advise`` answer: the run's ``t_p`` + MACS table + advice."""
 
     spec: KernelSpec
     compiled: CompiledKernel
     prediction: StaticPrediction
     #: None for scalar kernels (no vectorized loop, so no MACS
-    #: hierarchy); the static cycle prediction still stands.
+    #: hierarchy); the cycle prediction still stands.
     analysis: KernelAnalysis | None
     advice: tuple[Advice, ...]
     #: the machine description the prediction was computed for
@@ -97,31 +67,23 @@ class StaticKernelPrediction:
     def cpf(self) -> float:
         return self.prediction.cycles / self.spec.total_flops
 
-    def cpl_interval(self) -> tuple[float, float]:
-        """The confidence interval in CPL units."""
-        iters = self.spec.inner_iterations
-        return (
-            self.prediction.cycles_low / iters,
-            self.prediction.cycles_high / iters,
-        )
-
     def metrics(self) -> dict[str, Any]:
-        """The sweep scheduler's run-metrics schema, statically."""
-        prediction = self.prediction
-        cycles = prediction.cycles
+        """The sweep scheduler's run-metrics schema."""
+        result = self.prediction.result
+        cycles = result.cycles
         if cycles > 0:
             seconds = cycles * self.config.clock_period_ns * 1e-9
-            mflops = prediction.flops / seconds / 1e6
+            mflops = result.flops / seconds / 1e6
         else:
             mflops = 0.0
         return {
             "cycles": cycles,
-            "instructions": prediction.instructions_executed,
-            "vector_instructions": prediction.vector_instructions,
-            "scalar_instructions": prediction.scalar_instructions,
-            "vector_memory_ops": prediction.vector_memory_ops,
-            "scalar_memory_ops": prediction.scalar_memory_ops,
-            "flops": prediction.flops,
+            "instructions": result.instructions_executed,
+            "vector_instructions": result.vector_instructions,
+            "scalar_instructions": result.scalar_instructions,
+            "vector_memory_ops": result.vector_memory_ops,
+            "scalar_memory_ops": result.scalar_memory_ops,
+            "flops": result.flops,
             "cpl": self.cpl(),
             "cpf": self.cpf(),
             "cycles_per_vector_iteration": cycles_per_vector_iteration(
@@ -142,7 +104,8 @@ class StaticKernelPrediction:
     @cached_property
     def _payload(self) -> dict[str, Any]:
         analysis = self.analysis
-        low, high = self.cpl_interval()
+        cycles = self.prediction.cycles
+        cpl = self.cpl()
         if analysis is None:
             macs: dict[str, float] | None = None
             report = (
@@ -160,16 +123,18 @@ class StaticKernelPrediction:
                 "t_p_cpl": analysis.t_p_cpl,
             }
             report = analysis.report()
+        # tier, exact and the one-point low/high intervals stay in
+        # the schema so that advise bodies keep their bytes
         return {
             "kernel": self.spec.name,
             "tier": self.prediction.tier,
-            "exact": self.prediction.exact,
-            "cycles": self.prediction.cycles,
-            "cycles_low": self.prediction.cycles_low,
-            "cycles_high": self.prediction.cycles_high,
-            "cpl": self.cpl(),
-            "cpl_low": low,
-            "cpl_high": high,
+            "exact": True,
+            "cycles": cycles,
+            "cycles_low": cycles,
+            "cycles_high": cycles,
+            "cpl": cpl,
+            "cpl_low": cpl,
+            "cpl_high": cpl,
             "metrics": self.metrics(),
             "macs": macs,
             "advice": [
@@ -191,14 +156,15 @@ def predict_kernel(
     config: MachineConfig = DEFAULT_CONFIG,
     n: int | None = None,
 ) -> StaticKernelPrediction:
-    """Statically predict one kernel and derive its full MACS answer.
+    """One kernel's MACS bounds, measured ``t_p`` and ranked advice.
 
-    Never constructs a :class:`~repro.machine.simulator.Simulator`.
-    Memoized on (kernel content, options, config) — repeated service
-    requests are dictionary lookups.
+    ``t_p`` comes from :func:`~repro.workloads.run_kernel`'s memo, so
+    a ``run`` or ``analyze`` of the same kernel, options and config
+    reuses this simulation, and this call reuses theirs.  Memoized on
+    the same key — repeated service requests are dictionary lookups.
     """
     from ..workloads import workload
-    from ..workloads.runner import _spec_key, compile_spec, sized_spec
+    from ..workloads.runner import _spec_key, run_kernel, sized_spec
 
     spec = (
         spec_or_name
@@ -214,16 +180,11 @@ def predict_kernel(
     if hit is not None:
         return hit
 
-    compiled = compile_spec(spec, options)
-    prediction = predict_program(
-        compiled.program,
-        config,
-        known_memory=known_initial_memory(spec, compiled),
-        trips=spec.trip_profile or None,
-    )
+    run = run_kernel(spec, options, config)
+    prediction = predict_program(run.result)
     analysis: KernelAnalysis | None
     advice: tuple[Advice, ...]
-    if any(instr.is_vector for instr in compiled.program):
+    if any(instr.is_vector for instr in run.compiled.program):
         analysis = analyze_kernel(
             spec,
             options=options,
@@ -231,18 +192,18 @@ def predict_kernel(
             measure=False,
             vl=config.max_vl,
         )
-        # Fuse the static t_p into the hierarchy: gap attribution and
-        # the advisor consume it exactly as they would a measured run.
+        # Fuse the run's t_p into the hierarchy: gap attribution and
+        # the advisor consume it exactly as analyze_kernel's own.
         analysis.t_p_cpl = prediction.cycles / spec.inner_iterations
         advice = tuple(advise(analysis))
     else:
         # Scalar kernel: no vectorized loop, so no MACS hierarchy to
-        # derive — the static cycle prediction is the whole answer.
+        # derive — the run's cycles are the whole answer.
         analysis = None
         advice = ()
     result = StaticKernelPrediction(
         spec=spec,
-        compiled=compiled,
+        compiled=run.compiled,
         prediction=prediction,
         analysis=analysis,
         advice=advice,

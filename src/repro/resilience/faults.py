@@ -24,13 +24,12 @@ Plan file schema (JSON)::
 Fields:
 
 * ``site`` — where to inject.  Instrumented sites: ``store.append``,
-  ``store.atomic_write``, ``trace.write`` (telemetry),
-  ``static.predict`` (static-tier cycles), ``clock`` (wall-clock skew,
-  seconds), ``worker`` (sweep worker processes), ``service.accept``
-  (analysis-server connections dropped at accept), ``fleet.replica``
-  (a fleet client partitions the replica it is about to send to) and
-  ``fleet.l2_write`` (shared L2 writes fail; the store degrades to
-  read-only).
+  ``store.atomic_write``, ``trace.write`` (telemetry), ``clock``
+  (wall-clock skew, seconds), ``worker`` (sweep worker processes),
+  ``service.accept`` (analysis-server connections dropped at
+  accept), ``fleet.replica`` (a fleet client partitions the replica
+  it is about to send to) and ``fleet.l2_write`` (shared L2 writes
+  fail; the store degrades to read-only).
 * ``kind`` — ``io-error`` (raise ``OSError``), ``torn-write`` (write
   a prefix of the bytes, then raise), ``skew`` (add ``value`` to a
   clock), or — for ``site="worker"`` — ``raise``/``exit``/``hang``.
@@ -40,10 +39,10 @@ Fields:
   sites).
 * ``task`` / ``count`` — for worker faults: the grid index to poison
   and how many attempts fail before it recovers.
-* ``value`` — skew magnitude (cycles for ``static.predict``, seconds
-  for ``clock``).  A fired ``clock`` hit advances the skewed wall clock
-  *permanently*, so ``after`` selects which clock read jumps forward
-  (``after=1`` skips a deadline's own start-time read).
+* ``value`` — skew magnitude for ``clock``, in seconds.  A fired
+  ``clock`` hit advances the skewed wall clock *permanently*, so
+  ``after`` selects which clock read jumps forward (``after=1`` skips
+  a deadline's own start-time read).
 
 Matching is purely counter-based, so a plan injects the same faults
 at the same points on every run — chaos tests are deterministic.
@@ -65,8 +64,8 @@ from dataclasses import dataclass, field
 from ..errors import ExperimentError
 
 _SITES_HINT = (
-    "store.append, store.atomic_write, trace.write, static.predict, "
-    "clock, worker, service.accept, fleet.replica, fleet.l2_write"
+    "store.append, store.atomic_write, trace.write, clock, worker, "
+    "service.accept, fleet.replica, fleet.l2_write"
 )
 _KINDS = ("io-error", "torn-write", "skew", "raise", "exit", "hang")
 _WORKER_KINDS = ("raise", "exit", "hang")

@@ -23,15 +23,12 @@ Public surface:
 * :mod:`~repro.service.singleflight` — :class:`SingleFlight`;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`;
 * :mod:`~repro.service.jobs` — :func:`execute_request`, the picklable
-  worker entry point;
-* :mod:`~repro.service.agreement` — the static tier's calibration
-  loop (:class:`CalibrationSampler`, :class:`AgreementLedger`).
+  worker entry point.
 
 The ``advise`` request kind is the *static tier*: a worker computes
-its body with the abstract-interpretation predictor
-(:func:`repro.model.predict_kernel`), and a sampling calibration loop
-replays a fraction of cold ``advise`` requests exactly and records
-static-vs-exact deltas in a durable agreement ledger.
+its body with :func:`repro.model.predict_kernel` — the MACS hierarchy
+plus ``t_p`` from the kernel's memoized run, the same simulation a
+``run`` request for the same kernel, options and machine reads.
 
 Submodules load lazily, so importing this package never drags asyncio
 machinery into the base import graph.
@@ -56,11 +53,6 @@ _EXPORTS = {
     "start_in_thread": "server",
     "ServiceClient": "client",
     "offline_response": "client",
-    "AgreementLedger": "agreement",
-    "AgreementVerdict": "agreement",
-    "CalibrationSampler": "agreement",
-    "DEFAULT_AGREEMENT_GATE": "agreement",
-    "ledger_summary": "agreement",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -139,7 +139,7 @@ class ServiceClient:
 
     def _frame(self, kind: str, params: dict | None,
                deadline_s: float | None,
-               request_id: str | None) -> dict:
+               request_id: str | int | None) -> dict:
         if request_id is None:
             self._next_id += 1
             request_id = f"c{self._next_id}"
@@ -177,7 +177,7 @@ class ServiceClient:
 
     def request(self, kind: str, params: dict | None = None, *,
                 deadline_s: float | None = None,
-                request_id: str | None = None) -> Response:
+                request_id: str | int | None = None) -> Response:
         """Send one request and wait for its response."""
         frame = self._frame(kind, params, deadline_s, request_id)
         self._send(frame)
@@ -197,7 +197,7 @@ class ServiceClient:
                 for kind, params in frames]
         for frame in sent:
             self._send(frame)
-        by_id: dict[str, Response] = {}
+        by_id: dict[str | int, Response] = {}
         want = {frame["id"] for frame in sent}
         while want:
             response = self._read_response()
@@ -209,9 +209,10 @@ class ServiceClient:
     # -- control conveniences ------------------------------------------
 
     def advise(self, kernel: str, **params) -> Response:
-        """One static-tier prediction for ``kernel``.
+        """The MACS bounds, ``t_p`` and ranked advice for ``kernel``.
 
-        Accepts the same params as ``run``/``bound``
+        ``t_p`` is the simulated run a ``run`` request with the same
+        params returns.  Accepts the same params as ``run``/``bound``
         (``variant``/``options``, ``n``, ``max_cycles``).
         """
         return self.request("advise", {"kernel": kernel, **params})

@@ -132,7 +132,7 @@ def _compute_analyze(payload: dict) -> dict:
 
 
 def _compute_advise(payload: dict) -> dict:
-    """The static tier: never constructs a simulator."""
+    """MACS bounds and advice around the kernel's memoized run."""
     from ..model import predict_kernel
 
     prediction = predict_kernel(

@@ -128,16 +128,6 @@ class ServiceMetrics:
                 "deadline_expirations", 0
             ),
             "static_answers": self.counters.get("static_answers", 0),
-            "calibrations": self.counters.get("calibrations", 0),
-            "calibration_flags": self.counters.get(
-                "calibration_flags", 0
-            ),
-            "calibration_widenings": self.counters.get(
-                "calibration_widenings", 0
-            ),
-            "calibration_failures": self.counters.get(
-                "calibration_failures", 0
-            ),
             "cache": dict(cache_stats or {}),
             "latency_ms": self.latency_summary(),
         }

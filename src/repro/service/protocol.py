@@ -272,7 +272,8 @@ class Request:
 class Response:
     """One decoded response envelope (client side)."""
 
-    id: str
+    #: the request's ``id`` as sent: a string, or an integer
+    id: str | int
     status: str
     kind: str = ""
     key: str = ""
@@ -304,8 +305,12 @@ class Response:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Response":
+        try:
+            response_id = frame_id(data)
+        except ProtocolError:
+            response_id = str(data["id"])
         return cls(
-            id=str(data.get("id", "")),
+            id="" if response_id is None else response_id,
             status=str(data.get("status", "error")),
             kind=str(data.get("kind", "")),
             key=str(data.get("key", "")),

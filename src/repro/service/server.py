@@ -70,11 +70,6 @@ from ..resilience import faults as _faults
 from ..resilience.retry import RetryPolicy
 from ..sweep.pool import WorkerPool
 from .admission import AdmissionController
-from .agreement import (
-    DEFAULT_AGREEMENT_GATE,
-    AgreementLedger,
-    CalibrationSampler,
-)
 from .jobs import execute_request
 from .metrics import ServiceMetrics
 from .protocol import (
@@ -92,8 +87,9 @@ from .protocol import (
 )
 from .singleflight import SingleFlight
 
-#: Bytes one socket read takes, and bytes a connection's read loop
-#: answers before it yields to the other connections.
+#: Bytes one socket read takes, the longest frame a connection
+#: accepts, and bytes a connection's read loop answers before it
+#: yields to the other connections.
 _READ_SIZE = 64 * 1024
 
 #: Live servers, so fork hooks can close inherited listen sockets.
@@ -115,6 +111,18 @@ def _close_server_sockets_in_children() -> None:
 os.register_at_fork(after_in_child=_close_server_sockets_in_children)
 
 
+async def _skip_frame(reader: asyncio.StreamReader, read: int) -> None:
+    """Discard a frame longer than the reader's limit: the ``read``
+    bytes of it that are buffered, then input through its newline."""
+    while True:
+        await reader.readexactly(read)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            read = exc.consumed
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Operator-facing server configuration."""
@@ -134,13 +142,6 @@ class ServiceConfig:
     job_timeout_s: float | None = None
     #: crash/hang retry budget for worker jobs
     retries: int = 2
-    #: sample every Nth cold ``advise`` for an exact replay in the
-    #: worker pool (0 = calibration off)
-    calibrate_every: int = 0
-    #: durable agreement-ledger path (None = verdicts not persisted)
-    ledger_path: str | None = None
-    #: relative cycle-bound error gate for static predictions
-    agreement_gate: float = DEFAULT_AGREEMENT_GATE
     #: this replica's name in a fleet (None = not part of a fleet);
     #: labels the per-shard metrics dimension and the L2 leases
     shard_id: str | None = None
@@ -189,15 +190,6 @@ class AnalysisServer:
             retry=RetryPolicy(retries=config.retries),
             name="service",
         )
-        self.calibration = CalibrationSampler(
-            every=config.calibrate_every,
-            gate=config.agreement_gate,
-            ledger=(
-                AgreementLedger(config.ledger_path)
-                if config.ledger_path
-                else None
-            ),
-        )
         self.draining = False
         self._partitioned = False
         self.endpoints: list[str] = []
@@ -219,14 +211,15 @@ class AnalysisServer:
         self._drained = asyncio.Event()
         if self.config.socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_client, path=self.config.socket_path
+                self._handle_client, path=self.config.socket_path,
+                limit=_READ_SIZE,
             )
             self._servers.append(server)
             self.endpoints.append(f"unix:{self.config.socket_path}")
         if self.config.host is not None:
             server = await asyncio.start_server(
                 self._handle_client, host=self.config.host,
-                port=self.config.port,
+                port=self.config.port, limit=_READ_SIZE,
             )
             self._servers.append(server)
             for sock in server.sockets:
@@ -323,8 +316,6 @@ class AnalysisServer:
             await asyncio.wait(pending, timeout=5.0)
         stragglers = any(not task.done() for task in self._flights)
         self.pool.shutdown(kill=stragglers)
-        if self.calibration.ledger is not None:
-            self.calibration.ledger.close()
         if self.config.socket_path is not None:
             try:
                 os.unlink(self.config.socket_path)
@@ -377,9 +368,21 @@ class AnalysisServer:
         unyielded = 0
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # the last frame, unterminated
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError as exc:
+                    self.metrics.count("errors")
+                    writer.write(encode_line(error_response(
+                        "", "", "usage",
+                        f"request frame longer than {_READ_SIZE} bytes",
+                    )))
+                    await _skip_frame(reader, exc.consumed)
+                    line = b""
+                    unyielded = _READ_SIZE  # yield below
                 if line.strip():
                     reply = self._answer(line, client_id)
                     if isinstance(reply, bytes):
@@ -390,7 +393,7 @@ class AnalysisServer:
                         )
                         replies.add(task)
                         task.add_done_callback(replies.discard)
-                # readline returns a buffered line without yielding, and
+                # readuntil returns a buffered line without yielding, and
                 # no reply awaits drain (a client that sends a long
                 # pipeline before it reads would block on its own unread
                 # replies), so a client that pipelines hits would hold
@@ -471,10 +474,6 @@ class AnalysisServer:
                 "queue_depth": self.admission.queue_depth,
                 "in_flight": self._active,
                 "cache_entries": len(self.cache),
-                "static_flagged": self.calibration.flagged,
-                "static_widened_gates": len(
-                    self.calibration.widened_gates
-                ),
             }
         elif kind == "metrics":
             body = self.metrics.snapshot(
@@ -617,44 +616,6 @@ class AnalysisServer:
             "error": dict(result["error"]),
         })
 
-    async def _calibrate(self, request: Request,
-                         static_body: dict) -> None:
-        """Replay a sampled ``advise`` request exactly (worker pool).
-
-        Runs as a tracked flight so graceful drain waits for it; any
-        failure only costs this one calibration point, never the
-        request (which was already answered).
-        """
-        run_payload: dict = {
-            "kind": "run",
-            "kernel": request.payload["kernel"],
-            "options": request.payload.get("options") or {},
-        }
-        for name in ("max_cycles", "n"):
-            if request.payload.get(name) is not None:
-                run_payload[name] = request.payload[name]
-        try:
-            payload = await asyncio.to_thread(
-                self.pool.run, execute_request, run_payload,
-                key=f"calibrate:{request.key}",
-                timeout=self.config.job_timeout_s,
-            )
-        except BaseException:
-            self.metrics.count("calibration_failures")
-            return
-        if payload["status"] != "ok":
-            self.metrics.count("calibration_failures")
-            return
-        verdict = self.calibration.judge(
-            request.payload["kernel"], request.key, static_body,
-            payload["body"]["metrics"],
-        )
-        self.metrics.count("calibrations")
-        if verdict.action == "flagged":
-            self.metrics.count("calibration_flags")
-        elif verdict.action == "widened":
-            self.metrics.count("calibration_widenings")
-
     def _track(self, coro) -> None:
         """Run ``coro`` as a flight that graceful drain waits for."""
         task = asyncio.create_task(coro)
@@ -679,8 +640,6 @@ class AnalysisServer:
             return
         body = encode_body(payload["body"])
         self.cache.put(key, body)
-        if request.kind == "advise" and self.calibration.should_sample():
-            self._track(self._calibrate(request, payload["body"]))
         self.singleflight.finish(key, result=body)
 
     def _run_job(self, request: Request, key: str) -> dict:

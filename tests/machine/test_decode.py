@@ -9,7 +9,6 @@ import itertools
 
 import pytest
 
-from repro.analysis.staticpred import predict_program
 from repro.errors import IsaError, SimulationError
 from repro.isa import (
     VL,
@@ -68,8 +67,10 @@ def test_simulator_refuses(body):
     "body", list(UNSUPPORTED.values()), ids=list(UNSUPPORTED)
 )
 def test_static_prediction_refuses(body):
+    """The refusal is static: decoding the program raises before any
+    instruction runs, unreachable ones included."""
     with pytest.raises(SimulationError):
-        predict_program(unsupported_program(body), DEFAULT_CONFIG)
+        semantics.decode_program(unsupported_program(body))
 
 
 #: Int and float immediates, a/s/v registers (two vector ones), VL, VS,

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.machine import DEFAULT_CONFIG
-from repro.model import known_initial_memory, predict_kernel, statictier
-from repro.workloads import clear_caches, compile_spec, workload
+from repro.machine import DEFAULT_CONFIG, Simulator
+from repro.model import predict_kernel, statictier
+from repro.service.jobs import execute_request
+from repro.workloads import clear_caches, runner
 
 
 def static_cache_size() -> int:
@@ -40,6 +41,28 @@ class TestMemoization:
         by_number = predict_kernel(1)
         by_name = predict_kernel("lfk1")
         assert by_number is by_name
+
+    def test_advise_and_run_share_one_simulation(self, monkeypatch):
+        runs = []
+        simulate = Simulator.run
+
+        def counted(sim, *args, **kwargs):
+            runs.append(sim.program.name)
+            return simulate(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counted)
+        clear_caches()
+        payload = {"kernel": "lfk7", "options": {}, "n": 500}
+        advised = execute_request({"kind": "advise", **payload})
+        assert runs == ["lfk7"]
+        before = runner._RUN_MEMO.stats()
+        replayed = execute_request({"kind": "run", **payload})
+        after = runner._RUN_MEMO.stats()
+        assert runs == ["lfk7"], "the run must reuse the advise's run"
+        assert after["hits"] == before["hits"] + 1
+        assert advised["status"] == replayed["status"] == "ok"
+        assert advised["body"]["cycles"] == \
+            replayed["body"]["metrics"]["cycles"]
 
 
 class TestPayload:
@@ -79,17 +102,3 @@ class TestPayload:
         base = predict_kernel("lfk1")
         sized = predict_kernel("lfk1", n=64)
         assert sized.cycles != base.cycles
-
-
-class TestKnownMemory:
-    def test_covers_scalar_inputs_and_literals(self):
-        spec = workload("lfk1")
-        compiled = compile_spec(spec)
-        known = known_initial_memory(spec, compiled)
-        for name in spec.scalar_inputs:
-            word = compiled.scalar_word_offset(name)
-            assert known[word] == pytest.approx(
-                float(spec.scalar_inputs[name])
-            )
-        # Unwritten scalar-region words are zeros, as in the machine.
-        assert 0.0 in known.values()

@@ -9,9 +9,7 @@ The serving claims under test:
   serving process nothing: the pool retries it while the frontend
   keeps answering;
 * repeated requests hit the result cache with byte-identical bodies;
-* the offline client path renders the same bytes as the server;
-* the sampling calibration loop replays requests exactly in the
-  worker pool and records verdicts in the durable agreement ledger.
+* the offline client path renders the same bytes as the server.
 """
 
 import contextlib
@@ -26,14 +24,7 @@ import time
 import pytest
 
 import repro
-from repro.service import (
-    DEFAULT_AGREEMENT_GATE,
-    AgreementLedger,
-    CalibrationSampler,
-    ServiceConfig,
-    ledger_summary,
-    start_in_thread,
-)
+from repro.service import ServiceConfig, start_in_thread
 from repro.service.client import ServiceClient, offline_response
 
 
@@ -204,113 +195,3 @@ class TestAdviseWorkerFaults:
             thread.join(timeout=60.0)
             assert not thread.is_alive()
             assert hung["response"].ok, hung["response"].error
-
-
-class TestCalibrationLoop:
-    def test_sampled_requests_land_in_the_ledger(self, tmp_path):
-        sock = str(tmp_path / "cal.sock")
-        ledger_path = str(tmp_path / "agreement.jsonl")
-        thread = start_in_thread(
-            ServiceConfig(
-                socket_path=sock, workers=1,
-                calibrate_every=1, ledger_path=ledger_path,
-            )
-        )
-        try:
-            with ServiceClient(thread.endpoints[0]) as client:
-                assert client.advise("lfk1").ok
-                deadline = time.time() + 60
-                while time.time() < deadline:
-                    snapshot = client.metrics()
-                    if snapshot["calibrations"] >= 1:
-                        break
-                    time.sleep(0.1)
-                else:
-                    pytest.fail("calibration replay never completed")
-                assert snapshot["calibration_flags"] == 0
-                health = client.healthz()
-                assert health["static_flagged"] is False
-                assert health["static_widened_gates"] == 0
-        finally:
-            thread.stop()
-        records = AgreementLedger(ledger_path).load()
-        assert len(records) >= 1
-        record = records[0]
-        assert record["kernel"] == "lfk1"
-        assert record["tier"] == "exact"
-        assert record["rel_error"] == 0.0
-        assert record["within_gate"] is True
-        assert record["counters_match"] is True
-        assert record["action"] == "ok"
-        summary = ledger_summary(records)
-        assert summary["breaches"] == 0
-        assert summary["max_rel_error"] == 0.0
-
-
-class TestSamplerPolicy:
-    def test_every_n_sampling(self):
-        sampler = CalibrationSampler(every=3)
-        picks = [sampler.should_sample() for _ in range(9)]
-        assert picks == [False, False, True] * 3
-
-    def test_disabled_sampler_never_samples(self):
-        sampler = CalibrationSampler(every=0)
-        assert not any(sampler.should_sample() for _ in range(10))
-
-    def test_exact_tier_delta_is_flagged(self):
-        sampler = CalibrationSampler(every=1)
-        verdict = sampler.judge(
-            "lfk1", "k",
-            {"tier": "exact", "cycles": 101.0,
-             "metrics": {"flops": 10}},
-            {"cycles": 100.0, "flops": 10},
-        )
-        assert verdict.action == "flagged"
-        assert not verdict.within_gate
-        assert sampler.flagged
-
-    def test_model_tier_breach_widens_the_gate(self):
-        sampler = CalibrationSampler(every=1)
-        verdict = sampler.judge(
-            "lfk1", "k",
-            {"tier": "model", "cycles": 110.0,
-             "metrics": {"flops": 10}},
-            {"cycles": 100.0, "flops": 10},
-        )
-        assert verdict.action == "widened"
-        assert sampler.widened_gates["lfk1"] == pytest.approx(
-            0.1 * 1.25
-        )
-        assert not sampler.flagged
-        # The widened gate now admits the same drift.
-        second = sampler.judge(
-            "lfk1", "k",
-            {"tier": "model", "cycles": 110.0,
-             "metrics": {"flops": 10}},
-            {"cycles": 100.0, "flops": 10},
-        )
-        assert second.action == "ok"
-        assert second.within_gate
-
-    def test_agreement_within_gate_is_ok(self):
-        sampler = CalibrationSampler(every=1)
-        verdict = sampler.judge(
-            "lfk1", "k",
-            {"tier": "model",
-             "cycles": 100.0 * (1 + DEFAULT_AGREEMENT_GATE / 2),
-             "metrics": {"flops": 10}},
-            {"cycles": 100.0, "flops": 10},
-        )
-        assert verdict.action == "ok"
-        assert verdict.within_gate
-
-    def test_counter_mismatch_is_reported(self):
-        sampler = CalibrationSampler(every=1)
-        verdict = sampler.judge(
-            "lfk1", "k",
-            {"tier": "model", "cycles": 100.0,
-             "metrics": {"flops": 11}},
-            {"cycles": 100.0, "flops": 10},
-        )
-        assert not verdict.counters_match
-        assert "flops" in verdict.mismatched_counters

@@ -110,6 +110,12 @@ class TestRequestIds:
         assert reply["status"] == "ok"
         assert reply["id"] == 7 and type(reply["id"]) is int
 
+    def test_client_matches_an_integer_id(self, server):
+        with ServiceClient(server.endpoints[0], timeout=5.0) as client:
+            response = client.request("ping", request_id=7)
+        assert response.ok
+        assert response.id == 7 and type(response.id) is int
+
     @pytest.mark.parametrize("frame", [
         {"kind": "ping"},
         {"id": None, "kind": "ping"},
@@ -190,6 +196,33 @@ class TestPipelinedConnection:
         assert ids.index("h2") < ids.index("cold")
         # Nothing else was queued on the connection.
         assert wire.ask({"id": "after", "kind": "ping"})["id"] == "after"
+
+
+class TestLongFrames:
+    """A frame longer than the 64 KiB line limit costs only itself."""
+
+    def test_each_long_frame_gets_one_usage_error(self, server):
+        def long_frame(size):
+            return encode_line(_frame("long", "bound", {
+                "kernel": "lfk1", "pad": "x" * size,
+            }))
+
+        errors = server.server.metrics.counters["errors"]
+        with Wire(server.endpoints[0]) as active:
+            active.send(long_frame(70_000), {"id": "p1", "kind": "ping"})
+            replies = [active.reply(), active.reply()]
+            # Over twice the 64 KiB read size: the server drops the
+            # frame's start before its newline has arrived.
+            active.send(long_frame(300_000), {"id": "p2", "kind": "ping"})
+            replies += [active.reply(), active.reply()]
+            assert active.ask({"id": "p3", "kind": "ping"})["id"] == "p3"
+        assert [r["id"] for r in replies] == ["", "p1", "", "p2"]
+        for reply in replies[0::2]:
+            assert reply["status"] == "error"
+            assert reply["error"]["code"] == "usage"
+        for reply in replies[1::2]:
+            assert reply["body"] == {"pong": True}
+        assert server.server.metrics.counters["errors"] == errors + 2
 
 
 class TestLongPipeline:

@@ -1,15 +1,14 @@
-"""Replay the recorded advise burst through the static path.
+"""Replay the recorded advise burst and compare it with ``run``.
 
 ``data/advise_burst.ndjson`` is a recorded burst of ``advise``
 request frames covering every built-in workload plus problem-size
 and compiler-variant variations (two frames still carry the retired
 ``no_fastpath`` parameter, which ``canonicalize`` ignores, so they are
-served as defaults).  The CI ``static-tier``
-job runs this module: every frame is answered by the static tier and
-then replayed **exactly** through the same worker entry point the
-server's calibration loop uses; the agreement ledger over the whole
-burst must stay within the documented 1% cycle-error gate
-(``DEFAULT_AGREEMENT_GATE``), with zero exact-tier flags.
+served as defaults).  Every frame is answered through the worker
+entry point and replayed as a ``run`` request for the same kernel,
+options, ``n`` and ``max_cycles``: ``advise`` takes ``t_p`` and the
+six counters from the same simulation, so the cycles and counters of
+the two bodies must be equal.
 """
 
 import json
@@ -17,16 +16,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import (
-    DEFAULT_AGREEMENT_GATE,
-    AgreementLedger,
-    CalibrationSampler,
-    ledger_summary,
-)
 from repro.service.jobs import execute_request
 from repro.service.protocol import canonicalize
 
 BURST_PATH = Path(__file__).parent / "data" / "advise_burst.ndjson"
+
+#: The counters both bodies carry under ``metrics``.
+COUNTERS = (
+    "instructions",
+    "vector_instructions",
+    "scalar_instructions",
+    "vector_memory_ops",
+    "scalar_memory_ops",
+    "flops",
+)
 
 
 def load_burst():
@@ -37,17 +40,18 @@ def load_burst():
     return frames
 
 
-def exact_replay_payload(payload):
-    """The calibration loop's exact replay of one advise payload."""
-    run_payload = {
+def run_payload(payload):
+    """The ``run`` payload for the same kernel, options, machine and
+    sizes as one ``advise`` payload."""
+    replay = {
         "kind": "run",
         "kernel": payload["kernel"],
         "options": payload.get("options") or {},
     }
-    for name in ("max_cycles", "n"):
+    for name in ("machine", "max_cycles", "n"):
         if payload.get(name) is not None:
-            run_payload[name] = payload[name]
-    return run_payload
+            replay[name] = payload[name]
+    return replay
 
 
 def test_burst_covers_every_workload():
@@ -57,37 +61,20 @@ def test_burst_covers_every_workload():
     assert kernels == {spec.name for spec in ALL_WORKLOADS}
 
 
-def test_burst_agreement_stays_within_the_gate(tmp_path):
+def test_burst_advise_equals_run():
     frames = load_burst()
     assert frames, "recorded burst must not be empty"
-    ledger = AgreementLedger(str(tmp_path / "agreement.jsonl"))
-    sampler = CalibrationSampler(
-        every=1, gate=DEFAULT_AGREEMENT_GATE, ledger=ledger
-    )
     for frame in frames:
         request = canonicalize(frame["kind"], dict(frame["params"]))
-        static = execute_request(request.payload)
-        assert static["status"] == "ok", (frame, static)
-        exact = execute_request(exact_replay_payload(request.payload))
-        assert exact["status"] == "ok", (frame, exact)
-        sampler.judge(
-            request.payload["kernel"],
-            request.key,
-            static["body"],
-            exact["body"]["metrics"],
-        )
-    ledger.close()
-
-    records = AgreementLedger(str(tmp_path / "agreement.jsonl")).load()
-    assert len(records) == len(frames)
-    summary = ledger_summary(records)
-    assert summary["checks"] == len(frames)
-    # The CI gate: >1% cycle-bound error vs exact replays fails.
-    assert summary["max_rel_error"] <= DEFAULT_AGREEMENT_GATE, summary
-    assert summary["breaches"] == 0, summary
-    assert summary["flagged"] == 0, summary
-    assert summary["counter_mismatches"] == 0, summary
-    assert not sampler.flagged
+        advised = execute_request(request.payload)
+        assert advised["status"] == "ok", (frame, advised)
+        replayed = execute_request(run_payload(request.payload))
+        assert replayed["status"] == "ok", (frame, replayed)
+        exact = replayed["body"]["metrics"]
+        assert advised["body"]["cycles"] == exact["cycles"], frame
+        for name in COUNTERS:
+            assert advised["body"]["metrics"][name] == exact[name], \
+                (frame, name)
 
 
 def test_burst_bodies_are_deterministic():
