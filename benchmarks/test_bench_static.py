@@ -4,17 +4,18 @@ Both sides are requests for the same kernel through the worker entry
 point (:func:`repro.service.jobs.execute_request`):
 
 * **cold** — ``advise`` and ``run``, each right after
-  ``clear_caches()``, so each compiles and then predicts or simulates
-  from nothing;
+  ``clear_caches()``, so each compiles and simulates the kernel from
+  nothing, and ``advise`` then also derives the MACS bounds and the
+  ranked advice;
 * **warm** — ``advise`` answered from the static-prediction memo and
   ``run`` from the run cache.
 
 Advise and run rounds alternate, so a change in host speed hits both
 sides alike, and the gates compare medians over :data:`ROUNDS` rounds.
 Median advise/run ratios over five runs of this module (7 rounds
-each) on a 2-vCPU Xeon VM: cold 1.08-1.23 (cold ``advise`` also builds
-the MACS hierarchy and advice), warm 0.35-0.39.  The ceilings leave
-about 30% (cold) and 50% (warm) headroom above the largest of those.
+each) on a 2-vCPU Xeon VM: cold 1.31-1.46, warm 0.42-0.50.  The
+ceilings leave about 10% (cold) and 20% (warm) headroom above the
+largest of those.
 """
 
 import statistics

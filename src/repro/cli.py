@@ -402,22 +402,8 @@ def _cmd_sweep(args) -> int:
     names = tuple(args.kernels) if args.kernels else workload_names()
     for name in names:
         workload(name)  # fail fast on unknown workloads
-    spec = SweepSpec.build(names, variants=variants, configs=configs)
-    tasks: object = spec
-    if args.machine is not None:
-        # Clamp each cell's strip-mine length to its machine's max VL
-        # (the options are part of the task key, so cells stay
-        # machine-scoped in caches and checkpoints).
-        import dataclasses as _dc
-
-        from .machines import tuned_options
-
-        tasks = [
-            _dc.replace(t, options=tuned_options(t.options, t.config))
-            for t in spec.expand()
-        ]
     result = run_sweep(
-        tasks,
+        SweepSpec.build(names, variants=variants, configs=configs),
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,

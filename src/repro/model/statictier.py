@@ -3,12 +3,16 @@
 :func:`predict_kernel` is the serving-side entry point behind the
 service's ``advise`` request kind.  The M/A/C/S bounds never need a
 simulator, so it derives the MACS hierarchy with ``measure=False``;
-``t_p`` is a measured run, which it takes, with the six counters, from
+``t_p`` is a measured run, which it takes from
 :func:`repro.workloads.run_kernel`'s memo — one simulation serves
 ``advise``, ``run`` and ``analyze`` for the same kernel, options and
 machine.  It fuses that ``t_p`` into the hierarchy, so gap attribution
 and ranked advice work exactly as they do in ``analyze``, and returns
-everything as one frozen :class:`StaticKernelPrediction`.
+everything as one frozen :class:`StaticKernelPrediction` that holds
+the :class:`~repro.workloads.runner.KernelRun` itself.  The answer's
+``cycles``, ``cpl`` and ``metrics`` are the run's own
+(:meth:`KernelRun.metrics`), so an ``advise`` body and a ``run`` body
+of one simulation report the same metrics on every machine.
 
 Results are memoized on (kernel content, options, config) — the
 ``run_kernel`` key — in a :class:`~repro.memo.Memo`, so
@@ -23,11 +27,11 @@ from functools import cached_property
 from typing import Any
 
 from ..analysis.staticpred import StaticPrediction, predict_program
-from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
+from ..compiler import CompilerOptions, DEFAULT_OPTIONS
 from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..memo import Memo
-from ..units import cycles_per_vector_iteration
 from ..workloads.lfk import KernelSpec
+from ..workloads.runner import KernelRun, _spec_key, run_kernel, sized_spec
 from .advisor import Advice, advise
 from .hierarchy import KernelAnalysis, analyze_kernel
 
@@ -45,52 +49,17 @@ _STATIC_MEMO: Memo[tuple[object, ...], StaticKernelPrediction] = Memo(
 class StaticKernelPrediction:
     """One ``advise`` answer: the run's ``t_p`` + MACS table + advice."""
 
-    spec: KernelSpec
-    compiled: CompiledKernel
+    #: the memoized run whose cycles and metrics the answer reports
+    run: KernelRun
     prediction: StaticPrediction
     #: None for scalar kernels (no vectorized loop, so no MACS
     #: hierarchy); the cycle prediction still stands.
     analysis: KernelAnalysis | None
     advice: tuple[Advice, ...]
-    #: the machine description the prediction was computed for
-    config: MachineConfig = DEFAULT_CONFIG
-
-    # -- paper units ---------------------------------------------------
 
     @property
     def cycles(self) -> float:
-        return self.prediction.cycles
-
-    def cpl(self) -> float:
-        return self.prediction.cycles / self.spec.inner_iterations
-
-    def cpf(self) -> float:
-        return self.prediction.cycles / self.spec.total_flops
-
-    def metrics(self) -> dict[str, Any]:
-        """The sweep scheduler's run-metrics schema."""
-        result = self.prediction.result
-        cycles = result.cycles
-        if cycles > 0:
-            seconds = cycles * self.config.clock_period_ns * 1e-9
-            mflops = result.flops / seconds / 1e6
-        else:
-            mflops = 0.0
-        return {
-            "cycles": cycles,
-            "instructions": result.instructions_executed,
-            "vector_instructions": result.vector_instructions,
-            "scalar_instructions": result.scalar_instructions,
-            "vector_memory_ops": result.vector_memory_ops,
-            "scalar_memory_ops": result.scalar_memory_ops,
-            "flops": result.flops,
-            "cpl": self.cpl(),
-            "cpf": self.cpf(),
-            "cycles_per_vector_iteration": cycles_per_vector_iteration(
-                cycles, self.spec.inner_iterations, self.config.max_vl
-            ),
-            "mflops": mflops,
-        }
+        return self.run.cycles
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-able service body for the ``advise`` request kind.
@@ -104,12 +73,12 @@ class StaticKernelPrediction:
     @cached_property
     def _payload(self) -> dict[str, Any]:
         analysis = self.analysis
-        cycles = self.prediction.cycles
-        cpl = self.cpl()
+        cycles = self.run.cycles
+        cpl = self.run.cpl()
         if analysis is None:
             macs: dict[str, float] | None = None
             report = (
-                f"{self.spec.name.upper()} is a scalar kernel (no "
+                f"{self.run.spec.name.upper()} is a scalar kernel (no "
                 "vectorized loop); the MACS hierarchy does not "
                 "apply, but the static cycle prediction stands."
             )
@@ -126,7 +95,7 @@ class StaticKernelPrediction:
         # tier, exact and the one-point low/high intervals stay in
         # the schema so that advise bodies keep their bytes
         return {
-            "kernel": self.spec.name,
+            "kernel": self.run.spec.name,
             "tier": self.prediction.tier,
             "exact": True,
             "cycles": cycles,
@@ -135,7 +104,7 @@ class StaticKernelPrediction:
             "cpl": cpl,
             "cpl_low": cpl,
             "cpl_high": cpl,
-            "metrics": self.metrics(),
+            "metrics": self.run.metrics(),
             "macs": macs,
             "advice": [
                 {
@@ -164,7 +133,6 @@ def predict_kernel(
     the same key — repeated service requests are dictionary lookups.
     """
     from ..workloads import workload
-    from ..workloads.runner import _spec_key, run_kernel, sized_spec
 
     spec = (
         spec_or_name
@@ -194,7 +162,7 @@ def predict_kernel(
         )
         # Fuse the run's t_p into the hierarchy: gap attribution and
         # the advisor consume it exactly as analyze_kernel's own.
-        analysis.t_p_cpl = prediction.cycles / spec.inner_iterations
+        analysis.t_p_cpl = run.cpl()
         advice = tuple(advise(analysis))
     else:
         # Scalar kernel: no vectorized loop, so no MACS hierarchy to
@@ -202,12 +170,7 @@ def predict_kernel(
         analysis = None
         advice = ()
     result = StaticKernelPrediction(
-        spec=spec,
-        compiled=run.compiled,
-        prediction=prediction,
-        analysis=analysis,
-        advice=advice,
-        config=config,
+        run=run, prediction=prediction, analysis=analysis, advice=advice,
     )
     _STATIC_MEMO.put(key, result)
     return result

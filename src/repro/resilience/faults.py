@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -68,7 +69,26 @@ _SITES_HINT = (
     "service.accept, fleet.replica, fleet.l2_write"
 )
 _KINDS = ("io-error", "torn-write", "skew", "raise", "exit", "hang")
-_WORKER_KINDS = ("raise", "exit", "hang")
+WORKER_KINDS = ("raise", "exit", "hang")
+
+
+def inject_worker_fault(kind: str, fail_attempts: int,
+                        attempt: int) -> None:
+    """Act out an injected worker fault on attempts 1..fail_attempts.
+
+    ``raise`` raises :class:`RuntimeError`, ``exit`` kills the worker
+    process with exit code 17, and ``hang`` sleeps for 600 s.  A later
+    attempt returns and the job runs normally.
+    """
+    if attempt > fail_attempts:
+        return
+    if kind == "raise":
+        raise RuntimeError(f"injected fault: raise (attempt {attempt})")
+    if kind == "exit":
+        os._exit(17)
+    if kind == "hang":
+        time.sleep(600.0)
+    raise ExperimentError(f"unknown fault kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +113,10 @@ class FaultSpec:
                 f"{', '.join(_KINDS)}"
             )
         if self.site == "worker":
-            if self.kind not in _WORKER_KINDS:
+            if self.kind not in WORKER_KINDS:
                 raise ExperimentError(
                     f"worker faults must be one of "
-                    f"{', '.join(_WORKER_KINDS)}, got {self.kind!r}"
+                    f"{', '.join(WORKER_KINDS)}, got {self.kind!r}"
                 )
             if self.task is None or self.task < 0:
                 raise ExperimentError(

@@ -11,6 +11,12 @@ and returns a plain dict::
      "error": {"code": "workload", "exit_code": 3, "type": "...",
                "message": "..."}}
 
+Every compute kind turns its payload back into the kernel spec,
+compiler options and machine config through one function,
+:func:`_resolve`.  The payload's options are already tuned to its
+machine (:func:`~repro.service.protocol.canonicalize` tunes them once),
+so no compute kind tunes them itself.
+
 Deterministic domain failures come back as typed ``error`` payloads
 (they would fail identically on retry); unexpected exceptions
 propagate so the pool's crash/retry supervision engages.  Bodies are
@@ -20,17 +26,18 @@ worker, inline by an offline client, or replayed from the cache.
 
 The ``_inject`` payload field is the chaos hook: ``{"kind": "exit",
 "attempts": 1}`` makes attempt 1 kill its worker process (and so
-forth), exactly like the sweep scheduler's ``inject_faults`` — how the
+forth) through :func:`~repro.resilience.faults.inject_worker_fault`,
+the switch the sweep scheduler's ``inject_faults`` uses too — how the
 chaos suite proves a killed worker is retried without the client ever
 seeing an error.
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 from ..errors import ReproError
+from ..machine import DEFAULT_CONFIG
+from ..machines import builtin_machine
+from ..resilience.faults import inject_worker_fault
 from .protocol import (
     ERROR_EXIT_CODES,
     options_from_dict,
@@ -38,19 +45,30 @@ from .protocol import (
 )
 
 
-def _config_from_payload(payload: dict):
-    from ..machine import DEFAULT_CONFIG
+def _resolve(payload: dict):
+    """The ``(spec, options, config)`` a canonical payload names.
 
-    machine_name = payload.get("machine")
-    if machine_name is not None:
-        from ..machines import builtin_machine
+    ``spec`` is the kernel at its problem size ``n`` (None for a
+    ``sweep``, which names several), ``options`` the compiler options
+    and ``config`` the machine with its ``max_cycles`` budget.  Every
+    compute kind but ``report``, which reads none of them, reads its
+    inputs through here.
+    """
+    from ..workloads import workload
+    from ..workloads.runner import sized_spec
 
-        config = builtin_machine(str(machine_name)).config
-    else:
-        config = DEFAULT_CONFIG
+    spec = None
+    if "kernel" in payload:
+        spec = workload(payload["kernel"])
+        if payload.get("n") is not None:
+            spec = sized_spec(spec, payload["n"])
+    machine = payload.get("machine")
+    config = DEFAULT_CONFIG if machine is None \
+        else builtin_machine(str(machine)).config
     if payload.get("max_cycles") is not None:
         config = config.with_cycle_budget(float(payload["max_cycles"]))
-    return config
+    options = options_from_dict(payload.get("options") or {})
+    return spec, options, config
 
 
 def _compute_task_kind(payload: dict) -> dict:
@@ -58,31 +76,25 @@ def _compute_task_kind(payload: dict) -> dict:
     from ..sweep.scheduler import _compute_metrics
     from ..sweep.spec import SweepTask
 
+    spec, options, config = _resolve(payload)
     task = SweepTask(
-        workload=payload["kernel"],
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-        n=payload.get("n"),
-        mode=payload["kind"],
+        workload=payload["kernel"], options=options, config=config,
+        n=payload.get("n"), mode=payload["kind"],
     )
     return {
         "kernel": payload["kernel"],
         "mode": payload["kind"],
         "key": task.key,
-        "metrics": _compute_metrics(task),
+        "metrics": _compute_metrics(task, spec),
     }
 
 
 def _compute_ax(payload: dict) -> dict:
     from ..model import measure_ax
-    from ..workloads import compile_spec, workload
+    from ..workloads import compile_spec
 
-    spec = workload(payload["kernel"])
-    options = options_from_dict(payload.get("options") or {})
-    compiled = compile_spec(spec, options)
-    measurement = measure_ax(
-        spec, compiled, _config_from_payload(payload)
-    )
+    spec, options, config = _resolve(payload)
+    measurement = measure_ax(spec, compile_spec(spec, options), config)
     return {
         "kernel": payload["kernel"],
         "t_a_cpl": measurement.t_a_cpl,
@@ -94,12 +106,11 @@ def _compute_ax(payload: dict) -> dict:
 
 def _compute_lint(payload: dict) -> dict:
     from ..analysis import LintOptions, Severity, lint_program
-    from ..workloads import compile_spec, workload
+    from ..workloads import compile_spec
 
-    spec = workload(payload["kernel"])
-    compiled = compile_spec(spec)
+    spec, options, _config = _resolve(payload)
     findings = lint_program(
-        compiled.program,
+        compile_spec(spec, options).program,
         LintOptions(trips=tuple(spec.trip_profile)),
     )
     minimum = Severity.parse(payload.get("min_severity", "info"))
@@ -116,13 +127,9 @@ def _compute_lint(payload: dict) -> dict:
 
 def _compute_analyze(payload: dict) -> dict:
     from ..model import analyze_kernel
-    from ..workloads import workload
 
-    analysis = analyze_kernel(
-        workload(payload["kernel"]),
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-    )
+    spec, options, config = _resolve(payload)
+    analysis = analyze_kernel(spec, options=options, config=config)
     return {
         "kernel": payload["kernel"],
         "report": analysis.report(),
@@ -135,13 +142,7 @@ def _compute_advise(payload: dict) -> dict:
     """MACS bounds and advice around the kernel's memoized run."""
     from ..model import predict_kernel
 
-    prediction = predict_kernel(
-        payload["kernel"],
-        options=options_from_dict(payload.get("options") or {}),
-        config=_config_from_payload(payload),
-        n=payload.get("n"),
-    )
-    return prediction.to_payload()
+    return predict_kernel(*_resolve(payload)).to_payload()
 
 
 def _compute_report(payload: dict) -> dict:
@@ -154,15 +155,15 @@ def _compute_report(payload: dict) -> dict:
 def _compute_sweep(payload: dict) -> dict:
     from ..sweep import OPTION_VARIANTS, SweepSpec, run_sweep
 
+    _spec, _options, config = _resolve(payload)
     variants = {
         name: OPTION_VARIANTS[name]
         for name in payload.get("variants", ["default"])
     }
     config_tag = str(payload.get("machine") or "base")
     spec = SweepSpec.build(
-        payload["kernels"],
-        variants=variants,
-        configs={config_tag: _config_from_payload(payload)},
+        payload["kernels"], variants=variants,
+        configs={config_tag: config},
     )
     result = run_sweep(spec, jobs=1)
     return {
@@ -189,15 +190,9 @@ _COMPUTE = {
 def execute_request(payload: dict, attempt: int = 1) -> dict:
     """Compute one canonical request payload (worker entry point)."""
     inject = payload.get("_inject")
-    if inject is not None and attempt <= int(inject["attempts"]):
-        kind = inject["kind"]
-        if kind == "raise":
-            raise RuntimeError(
-                f"injected fault: raise (attempt {attempt})"
-            )
-        if kind == "exit":
-            os._exit(17)
-        time.sleep(600.0)  # kind == "hang"
+    if inject is not None:
+        inject_worker_fault(inject["kind"], int(inject["attempts"]),
+                            attempt)
     compute = _COMPUTE[payload["kind"]]
     try:
         return {"status": "ok", "body": compute(payload)}

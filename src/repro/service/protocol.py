@@ -42,7 +42,12 @@ produces a :class:`Request` whose ``key`` is a content digest: ``run``
 digests its canonical payload with the same
 :func:`~repro.sweep.spec.digest`.  Two requests with the same key
 compute the same result — that is the contract single-flight dedup and
-the result cache are built on.
+the result cache are built on.  The six kernel kinds (``run``,
+``bound``, ``mac``, ``ax``, ``analyze``, ``advise``) share one code
+path, which resolves the kernel, machine and options once and tunes
+the options to the machine (:func:`~repro.machines.tuned_options`)
+exactly as :meth:`~repro.sweep.spec.SweepSpec.expand` tunes a sweep
+cell.
 
 Each process derives a given (kind, params) once: :func:`canonicalize`
 keeps the validated :class:`Request` in a bounded LRU keyed by a
@@ -70,9 +75,10 @@ from ..errors import (
     StoreError,
     WorkloadError,
 )
-from ..machine import DEFAULT_CONFIG
+from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..machines import builtin_machine, tuned_options
 from ..memo import Memo
+from ..resilience.faults import WORKER_KINDS
 from ..sweep.spec import OPTION_VARIANTS, SweepTask, digest
 
 #: Compute kinds (keyed and cached; a cold one is a worker-pool job).
@@ -82,6 +88,12 @@ REQUEST_KINDS = (
 )
 #: Control kinds (answered by the frontend, never queued or cached).
 CONTROL_KINDS = ("ping", "healthz", "metrics", "drain")
+#: Compute kinds derived from a kernel, its options and a machine.
+_KERNEL_KINDS = ("run", "bound", "mac", "ax", "analyze", "advise")
+#: Kernel kinds that read a problem size ``n``.
+_SIZED_KINDS = ("run", "bound", "mac", "advise")
+#: Kernel kinds keyed like a sweep cell (:class:`SweepTask` keys).
+_TASK_KINDS = ("run", "bound", "mac")
 
 #: Severity order for lint requests (mirrors repro.analysis.Severity).
 _SEVERITIES = ("info", "warning", "error")
@@ -213,37 +225,28 @@ def resolve_machine(params: dict):
         raise ProtocolError(str(exc)) from None
 
 
-def resolve_config(params: dict):
-    """Machine config from ``machine``/``max_cycles``."""
-    description = resolve_machine(params)
-    config = DEFAULT_CONFIG if description is None \
-        else description.config
-    max_cycles = params.get("max_cycles")
-    if max_cycles is not None:
-        config = config.with_cycle_budget(
-            positive_real("max_cycles", max_cycles)
-        )
-    return config
-
-
-def config_payload(params: dict) -> dict:
-    """The canonical config-affecting params (for payloads/digests).
+def _machine_params(params: dict) -> tuple[MachineConfig, dict]:
+    """The machine config a request targets (with its ``max_cycles``
+    budget) and the canonical payload fields that identify it.
 
     A machine is identified by *name and content digest*: the digest
     joins every derived request key, so two machines that merely share
     a name (say, a server and client with different registry versions)
     can never collide in a cache tier.
     """
+    config = DEFAULT_CONFIG
     payload: dict = {}
     description = resolve_machine(params)
     if description is not None:
+        config = description.config
         payload["machine"] = description.name
         payload["machine_digest"] = description.digest
     if params.get("max_cycles") is not None:
         payload["max_cycles"] = positive_real(
             "max_cycles", params["max_cycles"]
         )
-    return payload
+        config = config.with_cycle_budget(payload["max_cycles"])
+    return config, payload
 
 
 # ----------------------------------------------------------------------
@@ -356,9 +359,10 @@ def _inject_payload(params: dict) -> dict:
     if inject is None:
         return {}
     if not isinstance(inject, dict) or \
-            inject.get("kind") not in ("raise", "exit", "hang"):
+            inject.get("kind") not in WORKER_KINDS:
         raise ProtocolError(
-            "_inject needs {'kind': raise|exit|hang, 'attempts': N}"
+            f"_inject needs {{'kind': {'|'.join(WORKER_KINDS)}, "
+            "'attempts': N}"
         )
     return {"_inject": {
         "kind": inject["kind"],
@@ -448,42 +452,25 @@ def _derive_request(kind: str, params: dict) -> Request:
         deadline_s = positive_real("deadline_s", deadline_s)
     inject = _inject_payload(params)
 
-    if kind in ("run", "bound", "mac"):
+    if kind in _KERNEL_KINDS:
         kernel = _require_kernel(params)
-        config = resolve_config(params)
+        config, machine = _machine_params(params)
         options = tuned_options(resolve_options(params), config)
-        task = SweepTask(
-            workload=kernel, options=options, config=config,
-            n=_problem_size(params), mode=kind,
-        )
+        n = _problem_size(params) if kind in _SIZED_KINDS else None
         payload = {
             "kind": kind,
             "kernel": kernel,
             "options": options_to_dict(options),
-            **config_payload(params),
+            **machine,
         }
-        if task.n is not None:
-            payload["n"] = task.n
-        return Request(kind=kind, key=task.key,
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "ax":
-        kernel = _require_kernel(params)
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        return Request(kind=kind, key=f"ax:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "lint":
+        if n is not None:
+            payload["n"] = n
+        if kind in _TASK_KINDS:
+            key = SweepTask(workload=kernel, options=options,
+                            config=config, n=n, mode=kind).key
+        else:
+            key = f"{kind}:{digest(payload)}"
+    elif kind == "lint":
         kernel = _require_kernel(params)
         minimum = str(params.get("min_severity", "info")).lower()
         if minimum not in _SEVERITIES:
@@ -493,45 +480,8 @@ def _derive_request(kind: str, params: dict) -> Request:
             )
         payload = {"kind": kind, "kernel": kernel,
                    "min_severity": minimum}
-        return Request(kind=kind, key=f"lint:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "analyze":
-        kernel = _require_kernel(params)
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        return Request(kind=kind, key=f"analyze:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "advise":
-        kernel = _require_kernel(params)
-        # resolve_config validates machine/max_cycles up front
-        options = tuned_options(
-            resolve_options(params), resolve_config(params)
-        )
-        payload = {
-            "kind": kind,
-            "kernel": kernel,
-            "options": options_to_dict(options),
-            **config_payload(params),
-        }
-        n = _problem_size(params)
-        if n is not None:
-            payload["n"] = n
-        return Request(kind=kind, key=f"advise:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
-
-    if kind == "report":
+        key = f"lint:{digest(payload)}"
+    elif kind == "report":
         from ..experiments import EXPERIMENTS
 
         names = params.get("experiments") or []
@@ -547,39 +497,40 @@ def _derive_request(kind: str, params: dict) -> Request:
                     f"{', '.join(EXPERIMENTS)}"
                 )
         payload = {"kind": kind, "experiments": sorted(names)}
-        return Request(kind=kind, key=f"report:{digest(payload)}",
-                       payload={**payload, **inject},
-                       deadline_s=deadline_s)
+        key = f"report:{digest(payload)}"
+    else:  # kind == "sweep"
+        from ..workloads import workload, workload_names
 
-    # kind == "sweep"
-    from ..workloads import workload, workload_names
-
-    kernels = params.get("kernels") or list(workload_names())
-    if not isinstance(kernels, list) or \
-            not all(isinstance(k, str) for k in kernels):
-        raise ProtocolError("'kernels' must be a list of workload names")
-    for name in kernels:
-        try:
-            workload(name)
-        except WorkloadError as exc:
-            raise ProtocolError(str(exc)) from None
-    variants = params.get("variants") or ["default"]
-    if not isinstance(variants, list):
-        raise ProtocolError("'variants' must be a list of variant names")
-    for name in variants:
-        if name not in OPTION_VARIANTS:
+        kernels = params.get("kernels") or list(workload_names())
+        if not isinstance(kernels, list) or \
+                not all(isinstance(k, str) for k in kernels):
             raise ProtocolError(
-                f"unknown option variant {name!r}; known: "
-                f"{', '.join(OPTION_VARIANTS)}"
+                "'kernels' must be a list of workload names"
             )
-    payload = {
-        "kind": kind,
-        "kernels": [k.lower() for k in kernels],
-        "variants": list(variants),
-        **config_payload(params),
-    }
-    return Request(kind=kind, key=f"sweep:{digest(payload)}",
-                   payload={**payload, **inject},
+        for name in kernels:
+            try:
+                workload(name)
+            except WorkloadError as exc:
+                raise ProtocolError(str(exc)) from None
+        variants = params.get("variants") or ["default"]
+        if not isinstance(variants, list):
+            raise ProtocolError(
+                "'variants' must be a list of variant names"
+            )
+        for name in variants:
+            if name not in OPTION_VARIANTS:
+                raise ProtocolError(
+                    f"unknown option variant {name!r}; known: "
+                    f"{', '.join(OPTION_VARIANTS)}"
+                )
+        payload = {
+            "kind": kind,
+            "kernels": [k.lower() for k in kernels],
+            "variants": list(variants),
+            **_machine_params(params)[1],
+        }
+        key = f"sweep:{digest(payload)}"
+    return Request(kind=kind, key=key, payload={**payload, **inject},
                    deadline_s=deadline_s)
 
 

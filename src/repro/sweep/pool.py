@@ -22,8 +22,10 @@ deterministic fault injection (a job that kills its worker on attempt
 1 and succeeds on attempt 2) stays reproducible.
 
 :meth:`WorkerPool.run` is blocking and thread-safe: the analysis
-service calls it from many request threads at once and the executor
-serializes job pickup across its worker processes.
+service calls it from many request threads at once.  At most
+``workers`` jobs are in the executor at a time; the others wait for a
+slot before they are submitted, so a job's ``timeout`` counts only the
+time it runs, never the time it waited behind other jobs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,16 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..errors import ExperimentError
 from ..resilience.retry import RetryPolicy
+
+
+def stop_pool(executor: ProcessPoolExecutor, kill: bool = False,
+              wait: bool = False) -> None:
+    """Shut an executor down, cancelling queued work.  ``kill=True``
+    kills its worker processes first: a hung worker may never return."""
+    if kill:
+        for process in list(getattr(executor, "_processes", {}).values()):
+            process.kill()
+    executor.shutdown(wait=wait, cancel_futures=True)
 
 
 class WorkerPool:
@@ -58,6 +70,8 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._generation = 0
         self._lock = threading.Lock()
+        #: one slot per worker process (see :meth:`run`)
+        self._slots = threading.BoundedSemaphore(workers)
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
@@ -85,12 +99,7 @@ class WorkerPool:
             self._generation += 1
             self.restarts += 1
         if executor is not None:
-            if kill:
-                for process in list(
-                    getattr(executor, "_processes", {}).values()
-                ):
-                    process.kill()
-            executor.shutdown(wait=False, cancel_futures=True)
+            stop_pool(executor, kill=kill)
 
     def shutdown(self, wait: bool = True, kill: bool = False) -> None:
         """Stop the pool; subsequent :meth:`run` calls raise.
@@ -104,12 +113,7 @@ class WorkerPool:
             executor = self._executor
             self._executor = None
         if executor is not None:
-            if kill:
-                for process in list(
-                    getattr(executor, "_processes", {}).values()
-                ):
-                    process.kill()
-            executor.shutdown(wait=wait, cancel_futures=True)
+            stop_pool(executor, kill=kill, wait=wait)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -130,19 +134,23 @@ class WorkerPool:
         """
         attempt = 1
         while True:
-            executor, generation = self._ensure()
-            with self._lock:
-                self.jobs_submitted += 1
-            try:
-                future = executor.submit(fn, *args, attempt=attempt)
-                return future.result(timeout=timeout)
-            except BrokenProcessPool:
-                self._rebuild(generation)
-                error = "worker process died"
-            except FutureTimeoutError:
-                # The worker may never return; kill the whole pool.
-                self._rebuild(generation, kill=True)
-                error = f"worker timed out after {timeout:.1f}s"
+            # A job holds a slot from submit to result, so it never
+            # waits in the executor's queue: ``timeout`` times the job,
+            # not the jobs ahead of it.
+            with self._slots:
+                executor, generation = self._ensure()
+                with self._lock:
+                    self.jobs_submitted += 1
+                try:
+                    future = executor.submit(fn, *args, attempt=attempt)
+                    return future.result(timeout=timeout)
+                except BrokenProcessPool:
+                    self._rebuild(generation)
+                    error = "worker process died"
+                except FutureTimeoutError:
+                    # The worker may never return; kill the whole pool.
+                    self._rebuild(generation, kill=True)
+                    error = f"worker timed out after {timeout:.1f}s"
             if not self.policy.allows(attempt):
                 raise ExperimentError(
                     f"{self.name}: job {key or fn.__name__!r} failed "

@@ -61,6 +61,7 @@ from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import Deadline
 from . import telemetry as tele
 from .checkpoint import Checkpoint
+from .pool import stop_pool
 from .spec import SweepSpec, SweepTask
 
 #: statuses whose checkpoint entries are reused on resume ("failed"
@@ -178,23 +179,6 @@ class SweepResult:
 # Task execution (runs inline or inside a worker process)
 # ----------------------------------------------------------------------
 
-def _metrics_from_run(run) -> dict:
-    result = run.result
-    return {
-        "cycles": result.cycles,
-        "instructions": result.instructions_executed,
-        "vector_instructions": result.vector_instructions,
-        "scalar_instructions": result.scalar_instructions,
-        "vector_memory_ops": result.vector_memory_ops,
-        "scalar_memory_ops": result.scalar_memory_ops,
-        "flops": result.flops,
-        "cpl": run.cpl(),
-        "cpf": run.cpf(),
-        "cycles_per_vector_iteration": run.cycles_per_vector_iteration(),
-        "mflops": result.mflops,
-    }
-
-
 def _task_spec(task: SweepTask):
     from ..workloads import workload
     from ..workloads.runner import sized_spec
@@ -217,17 +201,7 @@ def execute_task(
     exceptions propagate so the scheduler's retry machinery engages.
     """
     if fault is not None:
-        kind, fail_attempts = fault
-        if attempt <= fail_attempts:
-            if kind == "raise":
-                raise RuntimeError(
-                    f"injected fault: raise (attempt {attempt})"
-                )
-            if kind == "exit":
-                os._exit(17)
-            if kind == "hang":
-                time.sleep(600.0)
-            raise ExperimentError(f"unknown fault kind {kind!r}")
+        _faults.inject_worker_fault(*fault, attempt)
     wall0 = time.perf_counter()
     payload = {
         "key": task.key,
@@ -241,7 +215,7 @@ def execute_task(
     }
     with tele.collecting() as task_tele:
         try:
-            payload["metrics"] = _compute_metrics(task)
+            payload["metrics"] = _compute_metrics(task, _task_spec(task))
         except ReproError as exc:
             payload["status"] = "error"
             payload["error"] = f"{type(exc).__name__}: {exc}"
@@ -251,14 +225,13 @@ def execute_task(
     return payload
 
 
-def _compute_metrics(task: SweepTask) -> dict:
-    """The deterministic metrics for one cell, per its mode."""
-    spec = _task_spec(task)
+def _compute_metrics(task: SweepTask, spec) -> dict:
+    """The deterministic metrics for one cell (``spec`` is its kernel
+    at its problem size), per its mode."""
     if task.mode == "run":
         from ..workloads import run_kernel
 
-        run = run_kernel(spec, task.options, task.config)
-        return _metrics_from_run(run)
+        return run_kernel(spec, task.options, task.config).metrics()
     if task.mode == "bound":
         from ..model import macs_bound
         from ..schedule.chimes import ChimeRules, refresh_factor_for
@@ -542,13 +515,6 @@ def _run_sequential(pending, faults, finish, retry_or_fail,
         finish(item, payload)
 
 
-def _kill_pool(executor: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool (used on timeout: workers may never return)."""
-    for process in list(getattr(executor, "_processes", {}).values()):
-        process.kill()
-    executor.shutdown(wait=False, cancel_futures=True)
-
-
 def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
                   telemetry, deadline, budget_fail) -> None:
     """Sliding-window execution over a ProcessPoolExecutor.
@@ -571,10 +537,7 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
 
     def rebuild_pool(kill: bool = False):
         nonlocal executor
-        if kill:
-            _kill_pool(executor)
-        else:
-            executor.shutdown(wait=False, cancel_futures=True)
+        stop_pool(executor, kill=kill)
         executor = ProcessPoolExecutor(max_workers=jobs)
 
     def pool_died(crashed: list) -> None:
@@ -600,7 +563,7 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
             if deadline.expired():
                 # Out of wall-clock budget: everything still queued or
                 # in flight becomes a typed failure, never a hang.
-                _kill_pool(executor)
+                stop_pool(executor, kill=True)
                 leftovers = list(probation) + list(pending) + [
                     item for item, _submitted in in_flight.values()
                 ]
@@ -687,4 +650,4 @@ def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
             in_flight.clear()
             rebuild_pool(kill=True)
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        stop_pool(executor)

@@ -25,6 +25,7 @@ from ..compiler import CompilerOptions, DEFAULT_OPTIONS
 from ..compiler.options import ReductionStyle
 from ..errors import ExperimentError
 from ..machine import DEFAULT_CONFIG, MachineConfig
+from ..machines import tuned_options
 
 #: The canonical compiler-option variants every workload supports
 #: (mirrors the lint acceptance gate: 17 workloads x 6 variants).
@@ -194,7 +195,12 @@ class SweepSpec:
         )
 
     def expand(self) -> list[SweepTask]:
-        """The de-duplicated task list, in deterministic grid order."""
+        """The de-duplicated task list, in deterministic grid order.
+
+        Each cell compiles with its options tuned to its machine
+        (:func:`~repro.machines.tuned_options`), exactly as a service
+        request for the same work does, so the two share one key.
+        """
         if not self.workloads:
             raise ExperimentError("sweep grid has no workloads")
         if not self.variants or not self.configs or not self.sizes:
@@ -209,7 +215,7 @@ class SweepSpec:
                     for cname, config in self.configs:
                         task = SweepTask(
                             workload=workload,
-                            options=options,
+                            options=tuned_options(options, config),
                             config=config,
                             n=size,
                             tags=(

@@ -89,6 +89,25 @@ class KernelRun:
         """Cycles per source floating-point operation."""
         return self.result.cycles / self.spec.total_flops
 
+    def metrics(self) -> dict:
+        """The run-metrics schema: ``run`` and ``advise`` bodies and
+        sweep cells all report this dict."""
+        result = self.result
+        return {
+            "cycles": result.cycles,
+            "instructions": result.instructions_executed,
+            "vector_instructions": result.vector_instructions,
+            "scalar_instructions": result.scalar_instructions,
+            "vector_memory_ops": result.vector_memory_ops,
+            "scalar_memory_ops": result.scalar_memory_ops,
+            "flops": result.flops,
+            "cpl": self.cpl(),
+            "cpf": self.cpf(),
+            "cycles_per_vector_iteration":
+                self.cycles_per_vector_iteration(),
+            "mflops": result.mflops,
+        }
+
     def verify(self, rtol: float = 1e-9, atol: float = 1e-12) -> None:
         """Compare outputs against the NumPy reference.
 

@@ -95,7 +95,7 @@ class TestExactTier:
 
 class TestPredictionSurface:
     def test_counters_are_integers(self):
-        metrics = predict_kernel("lfk2").metrics()
+        metrics = predict_kernel("lfk2").run.metrics()
         for name in ("instructions", "vector_instructions",
                      "scalar_instructions", "vector_memory_ops",
                      "scalar_memory_ops", "flops"):

@@ -88,7 +88,7 @@ class TestPayload:
         assert payload["tier"] == "exact"
 
     def test_metrics_match_the_run_schema(self):
-        metrics = predict_kernel("lfk1").metrics()
+        metrics = predict_kernel("lfk1").run.metrics()
         for name in (
             "cycles", "instructions", "vector_instructions",
             "scalar_instructions", "vector_memory_ops",

@@ -2,6 +2,7 @@
 
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -36,6 +37,11 @@ def hang_once(attempt=1):
 
 def deterministic_failure(attempt=1):
     raise ValueError(f"always fails (attempt {attempt})")
+
+
+def nap(seconds, attempt=1):
+    time.sleep(seconds)
+    return attempt
 
 
 class TestHappyPath:
@@ -75,6 +81,22 @@ class TestSupervision:
             assert pool.run(hang_once, key="hang",
                             timeout=1.0) == 2
             assert pool.restarts == 1
+
+    def test_time_queued_behind_other_jobs_is_not_timed(self):
+        # Four concurrent 0.4 s jobs on one worker take 1.6 s in all;
+        # each must be timed from when it reaches the worker, so none
+        # of them hits the 1 s ceiling and the pool is never killed.
+        with WorkerPool(workers=1, retry=RetryPolicy(retries=0)) as pool:
+            with ThreadPoolExecutor(max_workers=4) as threads:
+                futures = [
+                    threads.submit(pool.run, nap, 0.4, key=f"nap{i}",
+                                   timeout=1.0)
+                    for i in range(4)
+                ]
+                assert [future.result(timeout=30) for future in futures] \
+                    == [1] * 4
+            assert pool.restarts == 0
+            assert pool.jobs_submitted == 4
 
     def test_deterministic_exceptions_propagate_without_retry(self):
         with WorkerPool(workers=1, retry=FAST_RETRY) as pool:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.compiler import DEFAULT_OPTIONS
 from repro.errors import ExperimentError
 from repro.machine import DEFAULT_CONFIG, MachineConfig
 from repro.sweep import OPTION_VARIANTS, SweepSpec, SweepTask
@@ -151,6 +152,18 @@ class TestSweepSpec:
         tasks = spec.expand()
         assert len(tasks) == 1
         assert tasks[0].tag("variant") == "a"
+
+    def test_each_cell_is_tuned_to_its_machine(self):
+        short = DEFAULT_CONFIG.replace(max_vl=64)
+        spec = SweepSpec.build(
+            ["lfk1"], configs={"base": DEFAULT_CONFIG, "short": short},
+        )
+        base, tuned = spec.expand()
+        assert base.options.vector_length == 128
+        assert tuned.options.vector_length == 64
+        assert tuned.key == SweepTask(
+            "lfk1", DEFAULT_OPTIONS.replace(vector_length=64), short
+        ).key
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ExperimentError):
