@@ -98,22 +98,6 @@ class CFG:
                     stack.append(successor)
         return frozenset(seen)
 
-    @cached_property
-    def exit_blocks(self) -> tuple[int, ...]:
-        """Reachable blocks from which execution can fall off the end."""
-        n = len(self.program)
-        exits = []
-        for block in self.blocks:
-            if block.index not in self.reachable:
-                continue
-            last = self.program[block.end]
-            falls_off = block.end == n - 1 and not (
-                last.is_branch and last.mnemonic == "jbr"
-            )
-            if falls_off:
-                exits.append(block.index)
-        return tuple(exits)
-
     # ------------------------------------------------------------------
     # Dominators and loops
     # ------------------------------------------------------------------
@@ -187,17 +171,6 @@ class CFG:
             if block_index in loop:
                 return loop
         return None
-
-    def loop_parent(self, loop: Loop) -> Loop | None:
-        """The immediately enclosing loop, or None at top level."""
-        best: Loop | None = None
-        for candidate in self.loops:
-            if candidate is loop or candidate.blocks == loop.blocks:
-                continue
-            if loop.blocks < candidate.blocks:
-                if best is None or candidate.blocks < best.blocks:
-                    best = candidate
-        return best
 
     def loop_depth(self, block_index: int) -> int:
         """Loop-nesting depth of a block (0 = not in any loop)."""

@@ -277,68 +277,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _parse_options_string(text: str):
-    """Parse ``--options "key=value,key=value"`` into CompilerOptions.
-
-    Booleans accept true/false/1/0/yes/no; ``reduction_style`` takes
-    the enum values (auto, partial-sums, direct-sum).  Raises
-    :class:`ValueError` with an actionable message on malformed input.
-    """
-    import dataclasses as _dataclasses
-
-    from .compiler.options import DEFAULT_OPTIONS, ReductionStyle
-
-    fields = {
-        f.name: f.type for f in _dataclasses.fields(DEFAULT_OPTIONS)
-    }
-    changes = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, separator, raw = item.partition("=")
-        name = name.strip().replace("-", "_")
-        raw = raw.strip()
-        if not separator or not name or not raw:
-            raise ValueError(
-                f"malformed --options item {item!r}; expected key=value"
-            )
-        if name not in fields:
-            raise ValueError(
-                f"unknown compiler option {name!r}; known: "
-                f"{', '.join(sorted(fields))}"
-            )
-        default = getattr(DEFAULT_OPTIONS, name)
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes"):
-                changes[name] = True
-            elif lowered in ("false", "0", "no"):
-                changes[name] = False
-            else:
-                raise ValueError(
-                    f"option {name!r} expects a boolean, got {raw!r}"
-                )
-        elif isinstance(default, int):
-            try:
-                changes[name] = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"option {name!r} expects an integer, got {raw!r}"
-                ) from None
-        elif isinstance(default, ReductionStyle):
-            try:
-                changes[name] = ReductionStyle(raw)
-            except ValueError:
-                raise ValueError(
-                    f"option {name!r} expects one of "
-                    f"{[s.value for s in ReductionStyle]}, got {raw!r}"
-                ) from None
-        else:
-            changes[name] = raw
-    return DEFAULT_OPTIONS.replace(**changes)
-
-
 def _cmd_fsck(args) -> int:
     """Integrity-scan (and optionally repair) durable artifact logs."""
     from .resilience.store import DurableLog, verify_log
@@ -358,6 +296,7 @@ def _cmd_fsck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .compiler.options import parse_options_string
     from .sweep import OPTION_VARIANTS, SweepSpec, run_sweep, summarize_trace
 
     if args.options is not None and args.variants != "all":
@@ -368,7 +307,7 @@ def _cmd_sweep(args) -> int:
         return 2
     if args.options is not None:
         try:
-            variants = {"custom": _parse_options_string(args.options)}
+            variants = {"custom": parse_options_string(args.options)}
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

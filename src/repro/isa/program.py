@@ -11,7 +11,7 @@ simulator.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import AsmSyntaxError, IsaError
@@ -78,10 +78,6 @@ class DataLayout:
 
     def symbols(self) -> tuple[DataSymbol, ...]:
         return tuple(self._symbols.values())
-
-    @property
-    def total_bytes(self) -> int:
-        return self._next_offset
 
     @property
     def total_words(self) -> int:
@@ -191,15 +187,6 @@ class Program:
     @property
     def labels(self) -> dict[str, int]:
         return dict(self._labels)
-
-    @property
-    def label_table(self) -> dict[str, int]:
-        """The internal label->pc table (read-only by convention).
-
-        Unlike :attr:`labels` this does not copy; hot paths (the
-        simulator) use it directly.
-        """
-        return self._labels
 
     @property
     def branch_targets(self) -> tuple[int, ...]:

@@ -65,7 +65,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from ..compiler.options import DEFAULT_OPTIONS, CompilerOptions, ReductionStyle
+from ..compiler.options import (
+    DEFAULT_OPTIONS,
+    CompilerOptions,
+    ReductionStyle,
+    parse_options_string,
+)
 from ..errors import (
     BudgetExceededError,
     ExperimentError,
@@ -195,10 +200,8 @@ def resolve_options(params: dict) -> CompilerOptions:
             )
         return resolved
     if text is not None:
-        from ..cli import _parse_options_string
-
         try:
-            return _parse_options_string(str(text))
+            return parse_options_string(str(text))
         except (ValueError, ReproError) as exc:
             raise ProtocolError(str(exc)) from None
     return DEFAULT_OPTIONS

@@ -43,7 +43,8 @@ Operational behavior:
 * **fault sites** — ``service.accept`` (a connection dropped at
   accept) is chaos-injectable; worker crashes are retried by the
   pool's :class:`~repro.resilience.retry.RetryPolicy` without the
-  client ever seeing an error.
+  client ever seeing an error, and a crash is charged only to a job
+  that was alone in the pool (:mod:`repro.sweep.pool`).
 
 Fork hygiene: worker processes are forked from the serving process, so
 every listening socket is registered and **closed in the child** at

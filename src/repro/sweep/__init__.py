@@ -12,8 +12,9 @@ Public surface:
   JSONL traces, and :func:`summarize_trace`;
 * :class:`Checkpoint` — resume support
   (:mod:`~repro.sweep.checkpoint`);
-* :class:`WorkerPool` — a persistent, supervised process pool for
-  long-running services (:mod:`~repro.sweep.pool`);
+* :class:`WorkerPool` — the supervised process pool that parallel
+  sweeps and the analysis service run their jobs on
+  (:mod:`~repro.sweep.pool`);
 * :func:`set_sweep_defaults` / :func:`grid_outcomes` — process-wide
   defaults the experiments honor (:mod:`~repro.sweep.api`).
 

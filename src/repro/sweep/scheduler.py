@@ -1,30 +1,33 @@
-"""Parallel sweep execution.
+"""Sweep execution.
 
 :func:`run_sweep` takes a :class:`~repro.sweep.spec.SweepSpec` (or an
-already-expanded task list) and executes every cell, either inline
-(``jobs=1`` — shares the process-wide compile/run caches, which is the
-fastest way to run overlapping grids) or across a
-:class:`~concurrent.futures.ProcessPoolExecutor` (``jobs>1``).
+already-expanded task list) and executes every cell, either inline on
+the calling thread (``jobs=1`` — shares the process-wide compile/run
+caches, which is the fastest way to run overlapping grids, and starts
+no thread or process) or on one
+:class:`~repro.sweep.pool.WorkerPool` of ``jobs`` worker processes,
+fed by ``jobs`` threads and shut down when the sweep ends
+(``jobs>1``).
 
 Fault tolerance:
 
-* a worker that **raises** an unexpected exception is retried, up to
+* a cell that **raises** an unexpected exception is retried, up to
   ``retries`` extra attempts;
-* a worker that **exits** (killing its process) breaks the pool; the
-  pool is rebuilt and every in-flight task is retried;
-* a worker that **hangs** past ``timeout`` seconds gets its pool
-  killed and is retried; innocent in-flight tasks are re-queued
-  without consuming one of their attempts;
+* a worker that **exits** (killing its process) or **hangs** past
+  ``timeout`` seconds is the pool's to handle: it rebuilds itself,
+  charges an attempt only to the job it can blame, and re-runs the
+  others uncharged (see :mod:`repro.sweep.pool`);
 * deterministic failures (:class:`~repro.errors.ReproError` —
   compile/verify/simulation errors) are *not* retried: the same input
   would fail the same way, so they are recorded as ``error`` outcomes.
 
+Attempt numbers count up across every kind of retry of one cell.
 Every decision is emitted to the telemetry trace (JSONL); results are
 returned in grid order regardless of completion order, and the
 deterministic result payload is byte-identical for any ``jobs`` value.
 
 Fault injection (``inject_faults``) is built into the worker so the
-scheduler's recovery paths can be tested deterministically: a mapping
+recovery paths can be tested deterministically: a mapping
 ``{task_index: (kind, fail_attempts)}`` makes attempts 1..fail_attempts
 of that task ``"raise"``, ``"exit"`` (``os._exit``), or ``"hang"``.
 A :class:`~repro.resilience.faults.FaultPlan` (``fault_plan=`` or the
@@ -36,9 +39,9 @@ Resilience semantics layered on top (see ``docs/robustness.md``):
 * retries follow a unified
   :class:`~repro.resilience.retry.RetryPolicy` — bounded exponential
   backoff with deterministic jitter — instead of bare counters;
-* ``deadline_s`` bounds the whole sweep's wall clock; work remaining
-  at expiry becomes typed ``BudgetExceededError`` results, never a
-  hang;
+* ``deadline_s`` bounds the whole sweep's wall clock; at expiry the
+  pool is killed and the work remaining becomes typed
+  ``BudgetExceededError`` results, never a hang;
 * checkpoint writes are durable (CRC-framed, fsync'd) and checkpoint
   *reads* self-recover; a checkpoint that stops accepting writes
   degrades the sweep to checkpoint-less operation instead of killing
@@ -49,11 +52,11 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import wait
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import ExperimentError, ReproError
 from ..resilience import faults as _faults
@@ -61,7 +64,7 @@ from ..resilience.retry import RetryPolicy
 from ..resilience.watchdog import Deadline
 from . import telemetry as tele
 from .checkpoint import Checkpoint
-from .pool import stop_pool
+from .pool import WorkerPool
 from .spec import SweepSpec, SweepTask
 
 #: statuses whose checkpoint entries are reused on resume ("failed"
@@ -110,6 +113,13 @@ class TaskOutcome:
             "error": self.error,
             "metrics": self.metrics,
         }
+
+    @classmethod
+    def of(cls, index: int, task: SweepTask, **fields) -> "TaskOutcome":
+        """An outcome for grid cell ``index``, which runs ``task``."""
+        return cls(index=index, key=task.key, workload=task.workload,
+                   label=task.label, tags=dict(task.tags), n=task.n,
+                   **fields)
 
     @classmethod
     def from_result_dict(cls, index: int, data: dict) -> "TaskOutcome":
@@ -278,14 +288,6 @@ def _probe_run_cache(task: SweepTask) -> bool:
 # The scheduler
 # ----------------------------------------------------------------------
 
-@dataclass
-class _Pending:
-    index: int
-    task: SweepTask
-    attempt: int  # next attempt number (1-based)
-    ready_at: float = 0.0  # backoff: not before this monotonic time
-
-
 def run_sweep(
     spec_or_tasks: SweepSpec | list[SweepTask],
     *,
@@ -333,7 +335,7 @@ def run_sweep(
     )
 
     outcomes: dict[int, TaskOutcome] = {}
-    pending: deque[_Pending] = deque()
+    todo: list[tuple[int, SweepTask]] = []
 
     ckpt = Checkpoint(checkpoint) if checkpoint else None
     done_before = ckpt.load() if ckpt else {}
@@ -349,9 +351,16 @@ def run_sweep(
             telemetry.emit("checkpoint_skip", key=task.key,
                            task=task.label)
         else:
-            pending.append(_Pending(index, task, attempt=1))
+            todo.append((index, task))
 
+    labels = {task.key: task.label for task in tasks}
+    # With jobs > 1 every cell thread records through these closures.
+    lock = threading.RLock()
     ckpt_ok = True
+
+    def emit(event: str, **fields) -> None:
+        with lock:
+            telemetry.emit(event, **fields)
 
     def checkpoint_append(payload: dict) -> None:
         """Durable append, degrading to checkpoint-less on I/O death."""
@@ -370,102 +379,147 @@ def run_sweep(
                 "without resume protection",
             )
 
-    def finish(item: _Pending, payload: dict) -> None:
-        task = item.task
-        outcome = TaskOutcome(
-            index=item.index,
-            key=task.key,
-            workload=task.workload,
-            label=task.label,
-            tags=dict(task.tags),
-            n=task.n,
-            status=payload["status"],
-            attempts=item.attempt,
-            error=payload["error"],
-            metrics=payload["metrics"],
-            stages=payload["stages"],
-            counters=payload["counters"],
-            wall_s=payload.get("wall_s", 0.0),
-            pid=payload.get("pid", 0),
+    def finish(index: int, task: SweepTask, attempt: int,
+               payload: dict) -> None:
+        outcome = TaskOutcome.of(
+            index, task, status=payload["status"], attempts=attempt,
+            error=payload["error"], metrics=payload["metrics"],
+            stages=payload["stages"], counters=payload["counters"],
+            wall_s=payload.get("wall_s", 0.0), pid=payload.get("pid", 0),
         )
-        outcomes[item.index] = outcome
-        for name, s in outcome.stages.items():
-            telemetry.record_stage(name, s["wall_s"], s["cpu_s"])
-        telemetry.record_counters(outcome.counters)
-        telemetry.emit(
-            "task_end",
-            key=outcome.key,
-            task=outcome.label,
-            status=outcome.status,
-            attempt=item.attempt,
-            error=outcome.error,
-            wall_s=outcome.wall_s,
-            pid=outcome.pid,
-            stages=outcome.stages,
-            counters=outcome.counters,
-        )
-        checkpoint_append(outcome.result_dict())
-
-    def give_up(item: _Pending, error: str) -> None:
-        outcome = TaskOutcome(
-            index=item.index,
-            key=item.task.key,
-            workload=item.task.workload,
-            label=item.task.label,
-            tags=dict(item.task.tags),
-            n=item.task.n,
-            status="failed",
-            attempts=item.attempt,
-            error=error,
-        )
-        outcomes[item.index] = outcome
-        telemetry.emit(
-            "task_failed",
-            key=outcome.key,
-            task=outcome.label,
-            attempts=item.attempt,
-            error=error,
-        )
-        checkpoint_append(outcome.result_dict())
-
-    def retry_or_fail(item: _Pending, error: str, event: str) -> None:
-        telemetry.emit(
-            event, key=item.task.key, task=item.task.label,
-            attempt=item.attempt, error=error,
-        )
-        if not policy.allows(item.attempt):
-            give_up(item, error)
-        else:
-            backoff = policy.backoff_s(item.attempt, key=item.task.key)
+        with lock:
+            outcomes[index] = outcome
+            for name, s in outcome.stages.items():
+                telemetry.record_stage(name, s["wall_s"], s["cpu_s"])
+            telemetry.record_counters(outcome.counters)
             telemetry.emit(
-                "task_retry", key=item.task.key, task=item.task.label,
-                next_attempt=item.attempt + 1,
-                backoff_s=round(backoff, 4),
+                "task_end",
+                key=outcome.key,
+                task=outcome.label,
+                status=outcome.status,
+                attempt=attempt,
+                error=outcome.error,
+                wall_s=outcome.wall_s,
+                pid=outcome.pid,
+                stages=outcome.stages,
+                counters=outcome.counters,
             )
-            pending.append(
-                _Pending(
-                    item.index, item.task, item.attempt + 1,
-                    ready_at=time.monotonic() + backoff,
-                )
-            )
+            checkpoint_append(outcome.result_dict())
 
-    def budget_fail(item: _Pending) -> None:
-        """Convert work remaining at deadline expiry into a typed
-        failure (the sweep-level BudgetExceededError result)."""
-        err = deadline.error(f"sweep cell {item.task.label}")
-        telemetry.emit(
-            "budget_exceeded", key=item.task.key, task=item.task.label,
+    def give_up(index: int, task: SweepTask, attempt: int,
+                error: str) -> None:
+        outcome = TaskOutcome.of(index, task, status="failed",
+                                 attempts=attempt, error=error)
+        with lock:
+            outcomes[index] = outcome
+            telemetry.emit(
+                "task_failed",
+                key=outcome.key,
+                task=outcome.label,
+                attempts=attempt,
+                error=error,
+            )
+            checkpoint_append(outcome.result_dict())
+
+    def budget_fail(index: int, task: SweepTask, attempt: int) -> None:
+        """Record a cell the wall-clock deadline left unfinished as a
+        typed failure (the sweep-level BudgetExceededError result)."""
+        err = deadline.error(f"sweep cell {task.label}")
+        emit(
+            "budget_exceeded", key=task.key, task=task.label,
             budget="wall-clock", limit=deadline.seconds,
             elapsed=round(deadline.elapsed(), 3),
         )
-        give_up(item, f"{type(err).__name__}: {err}")
+        give_up(index, task, attempt, f"{type(err).__name__}: {err}")
 
-    if jobs == 1:
-        _run_sequential(pending, faults, finish, retry_or_fail,
-                        deadline, budget_fail)
+    pool = WorkerPool(workers=jobs, retry=policy, name="sweep") \
+        if jobs > 1 else None
+
+    def run_cell(index: int, task: SweepTask) -> None:
+        """Run one cell to its outcome, retrying its own exceptions."""
+        attempt = 1
+        fault = faults.get(index)
+
+        def note(event: str, keys=None, **fields) -> None:
+            """Trace a pool decision; a charged retry moves the cell's
+            attempt number on."""
+            nonlocal attempt
+            if keys is not None:  # worker_crash
+                emit(event, tasks=[labels[key] for key in keys],
+                     **fields)
+                return
+            if event == "task_retry":
+                attempt = fields["next_attempt"]
+            emit(event, key=fields.pop("key"), task=task.label, **fields)
+
+        while not deadline.expired():
+            cached = pool is None and _probe_run_cache(task)
+            try:
+                if pool is None:
+                    payload = execute_task(task, attempt, fault)
+                else:
+                    payload = pool.run(
+                        partial(execute_task, fault=fault), task,
+                        key=task.key, timeout=timeout, attempt=attempt,
+                        on_event=note,
+                    )
+            except ExperimentError as exc:
+                # The pool spent the cell's retries on crashes or
+                # hangs, or was shut down when the deadline expired.
+                if deadline.expired():
+                    break
+                give_up(index, task, attempt, str(exc))
+                return
+            except Exception as exc:  # injected/unexpected faults
+                error = f"{type(exc).__name__}: {exc}"
+                emit("task_error", key=task.key, task=task.label,
+                     attempt=attempt, error=error)
+                if not policy.allows(attempt):
+                    give_up(index, task, attempt, error)
+                    return
+                backoff = policy.backoff_s(attempt, key=task.key)
+                emit("task_retry", key=task.key, task=task.label,
+                     next_attempt=attempt + 1,
+                     backoff_s=round(backoff, 4))
+                remaining = deadline.remaining()
+                if remaining is not None:
+                    backoff = max(0.0, min(backoff, remaining))
+                time.sleep(backoff)
+                attempt += 1
+                continue
+            if cached and payload["status"] == "ok":
+                payload["status"] = "cached"
+            finish(index, task, attempt, payload)
+            return
+        budget_fail(index, task, attempt)
+
+    if pool is None:
+        for index, task in todo:
+            run_cell(index, task)
     else:
-        _run_parallel(pending, faults, jobs, timeout, finish,
-                      retry_or_fail, telemetry, deadline, budget_fail)
+        # Imported here so that a jobs=1 sweep and ``import repro.cli``
+        # load no thread-pool code.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with pool, ThreadPoolExecutor(max_workers=jobs) as cells:
+            futures = [cells.submit(run_cell, index, task)
+                       for index, task in todo]
+            running = set(futures)
+            try:
+                while running and not deadline.expired():
+                    _done, running = wait(running,
+                                          timeout=deadline.remaining())
+            except BaseException:  # interrupted: drop the queued cells
+                cells.shutdown(wait=False, cancel_futures=True)
+                raise
+            finally:
+                if running:
+                    # Out of wall-clock budget (or interrupted): kill
+                    # the jobs in flight.  Each cell left unfinished
+                    # records its failure, budget_exceeded at expiry.
+                    pool.shutdown(wait=False, kill=True)
+        for future in futures:
+            future.result()  # re-raise a scheduler fault, if any
 
     wall = time.perf_counter() - wall0
     ok = sum(1 for o in outcomes.values() if o.ok)
@@ -483,171 +537,3 @@ def run_sweep(
         outcomes=ordered, telemetry=telemetry, jobs=jobs,
         wall_s=wall,
     )
-
-
-def _run_sequential(pending, faults, finish, retry_or_fail,
-                    deadline, budget_fail) -> None:
-    """Inline execution: shares the process-wide memo caches."""
-    while pending:
-        item = pending.popleft()
-        if deadline.expired():
-            budget_fail(item)
-            continue
-        wait_s = item.ready_at - time.monotonic()
-        if wait_s > 0:
-            remaining = deadline.remaining()
-            if remaining is not None and wait_s >= remaining:
-                time.sleep(max(0.0, remaining))
-                budget_fail(item)
-                continue
-            time.sleep(wait_s)
-        cached = _probe_run_cache(item.task)
-        try:
-            payload = execute_task(
-                item.task, item.attempt, faults.get(item.index)
-            )
-        except Exception as exc:  # injected/unexpected faults
-            retry_or_fail(item, f"{type(exc).__name__}: {exc}",
-                          "task_error")
-            continue
-        if cached and payload["status"] == "ok":
-            payload["status"] = "cached"
-        finish(item, payload)
-
-
-def _run_parallel(pending, faults, jobs, timeout, finish, retry_or_fail,
-                  telemetry, deadline, budget_fail) -> None:
-    """Sliding-window execution over a ProcessPoolExecutor.
-
-    At most ``jobs`` futures are in flight, so a submitted task starts
-    (approximately) immediately and per-task timeouts can be measured
-    from submission time.
-
-    A broken pool (a worker called ``exit`` or was OOM-killed) cannot
-    tell us *which* in-flight task killed it.  Rather than charging a
-    retry to every bystander, the affected tasks are re-run in a
-    **probation** window of width 1: a crash there implicates exactly
-    the one running task, which is then the only one charged.  This
-    keeps a single repeat-offender from burning its neighbours' retry
-    budgets while still guaranteeing termination.
-    """
-    executor = ProcessPoolExecutor(max_workers=jobs)
-    in_flight: dict = {}  # future -> (_Pending, submitted_at)
-    probation: deque[_Pending] = deque()
-
-    def rebuild_pool(kill: bool = False):
-        nonlocal executor
-        stop_pool(executor, kill=kill)
-        executor = ProcessPoolExecutor(max_workers=jobs)
-
-    def pool_died(crashed: list) -> None:
-        """The pool broke: every in-flight task died with it, and none
-        of them can be blamed yet."""
-        crashed.extend(item for item, _submitted in in_flight.values())
-        in_flight.clear()
-        if len(crashed) == 1:
-            # Only one suspect: it is the culprit.
-            retry_or_fail(crashed[0], "worker process died", "worker_crash")
-        else:
-            telemetry.emit(
-                "worker_crash",
-                tasks=[item.task.label for item in crashed],
-                error="worker process died; re-running "
-                "affected tasks one at a time",
-            )
-            probation.extend(crashed)
-        rebuild_pool()
-
-    try:
-        while pending or probation or in_flight:
-            if deadline.expired():
-                # Out of wall-clock budget: everything still queued or
-                # in flight becomes a typed failure, never a hang.
-                stop_pool(executor, kill=True)
-                leftovers = list(probation) + list(pending) + [
-                    item for item, _submitted in in_flight.values()
-                ]
-                probation.clear()
-                pending.clear()
-                in_flight.clear()
-                for item in leftovers:
-                    budget_fail(item)
-                return
-            window = 1 if probation else jobs
-            queue = probation if probation else pending
-            submitted = False
-            broken = False
-            while queue and len(in_flight) < window:
-                if queue[0].ready_at > time.monotonic():
-                    break  # head is backing off; let in-flight drain
-                item = queue.popleft()
-                try:
-                    future = executor.submit(
-                        execute_task, item.task, item.attempt,
-                        faults.get(item.index)
-                    )
-                except BrokenProcessPool:
-                    # A worker died since the last wait(); this item
-                    # never ran, so it goes back uncharged.
-                    queue.appendleft(item)
-                    broken = True
-                    break
-                in_flight[future] = (item, time.monotonic())
-                submitted = True
-            if broken:
-                pool_died([])
-                continue
-            if not in_flight:
-                if not submitted:
-                    time.sleep(0.01)  # everything is backing off
-                continue  # probation drained; refill at full window
-            done, _ = wait(
-                in_flight, timeout=0.05, return_when=FIRST_COMPLETED
-            )
-            crashed = []
-            for future in done:
-                item, _submitted = in_flight.pop(future)
-                error = future.exception()
-                if error is None:
-                    finish(item, future.result())
-                elif isinstance(error, BrokenProcessPool):
-                    crashed.append(item)
-                else:
-                    retry_or_fail(
-                        item, f"{type(error).__name__}: {error}",
-                        "task_error",
-                    )
-            if crashed:
-                pool_died(crashed)
-                continue
-            if timeout is None:
-                continue
-            now = time.monotonic()
-            expired = {
-                future
-                for future, (item, submitted) in in_flight.items()
-                if now - submitted > timeout
-            }
-            if not expired:
-                continue
-            # Killing a hung worker takes the whole pool with it:
-            # charge an attempt to the expired tasks, re-queue the
-            # innocent in-flight ones for free.
-            for future, (item, _submitted) in in_flight.items():
-                if future in expired:
-                    retry_or_fail(
-                        item, f"timed out after {timeout:.1f}s",
-                        "task_timeout",
-                    )
-                elif future.done() and future.exception() is None:
-                    finish(item, future.result())
-                else:
-                    telemetry.emit(
-                        "task_requeued", key=item.task.key,
-                        task=item.task.label, attempt=item.attempt,
-                    )
-                    pending.appendleft(item)
-            in_flight.clear()
-            rebuild_pool(kill=True)
-    finally:
-        stop_pool(executor)

@@ -5,7 +5,7 @@ match an independent NumPy interpretation of the same AST."""
 import random
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compiler import compile_kernel
 from repro.machine import Simulator
@@ -60,14 +60,26 @@ def test_generated_loops_vectorize(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
+# Every seed of the domain whose measured CPL is below 0.9 x t_MACS;
+# the lowest is 8086 at 0.854 (a 4-chime loop with 3 memory ops).
+@example(seed=4971)
+@example(seed=8086)
+@example(seed=8811)
+@example(seed=9019)
+@example(seed=9527)
+@example(seed=9541)
+@example(seed=9836)
 def test_bounds_ordered_against_measurement(seed):
     """MAC is a strict resource bound: measured time dominates it.
 
     MACS is the paper's *sequential-chime* schedule model; when the
     partition has more chimes than the binding resource (an unmergeable
     FP chime on an otherwise idle pipe), the machine can recover part
-    of that slot through cross-chime overlap, so MACS is only asserted
-    within a 10% modeling tolerance (see docs/model.md).
+    of that slot through cross-chime overlap, so ``t_MACS`` can
+    over-predict by up to ``extra_chimes / binding_resource_count``
+    (see docs/model.md).  Measured time is asserted to dominate
+    ``t_MACS`` scaled by ``binding / chimes``, which is ``t_MACS``
+    itself wherever the chime count equals the binding count.
     """
     from repro.model import mac_bound, mac_counts, macs_bound
     from repro.model.macs import inner_loop_body
@@ -81,7 +93,7 @@ def test_bounds_ordered_against_measurement(seed):
     mac = mac_bound(mac_counts(inner_loop_body(compiled.program)))
     assert measured_cpl >= mac.cpl - 1e-9
     macs = macs_bound(compiled.program)
-    assert measured_cpl >= 0.90 * macs.cpl
+    assert measured_cpl >= macs.cpl * mac.cpl / len(macs.partition.chimes)
 
 
 @settings(max_examples=20, deadline=None)

@@ -65,6 +65,28 @@ class TestWorkerCrashes:
             healthy = client.request("bound", {"kernel": "lfk8"})
             assert healthy.ok
 
+    def test_bystander_of_a_crash_is_answered(self, tmp_path):
+        """A request whose worker died beside a poisoned one re-runs
+        alone, uncharged: only the poisoned request fails."""
+        thread = start_in_thread(
+            ServiceConfig(socket_path=str(tmp_path / "two.sock"),
+                          workers=2, retries=2)
+        )
+        try:
+            with ServiceClient(thread.endpoints[0],
+                               timeout=60.0) as client:
+                bystander, poisoned = client.request_many([
+                    ("analyze", {"kernel": "lfk8"}),
+                    ("run", {"kernel": "lfk1",
+                             "_inject": {"kind": "exit",
+                                         "attempts": 99}}),
+                ])
+        finally:
+            thread.stop()
+        assert bystander.ok, bystander.error
+        assert poisoned.status == "error"
+        assert poisoned.error["code"] == "infrastructure"
+
     def test_deterministic_raise_is_not_retried(self, server):
         """A job that raises (rather than dying) fails the same way
         every time; the pool must not burn retries on it."""

@@ -1,6 +1,8 @@
 """WorkerPool tests: persistence, crash/hang supervision, retries."""
 
 import os
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,6 +44,15 @@ def deterministic_failure(attempt=1):
 def nap(seconds, attempt=1):
     time.sleep(seconds)
     return attempt
+
+
+def double_or_die(x, attempt=1):
+    """Every eighth job kills its worker on its first attempt; the
+    others take 20 ms, so some are running when it does."""
+    if x % 8 == 0 and attempt == 1:
+        os._exit(13)
+    time.sleep(0.02)
+    return 2 * x, attempt
 
 
 class TestHappyPath:
@@ -97,6 +108,65 @@ class TestSupervision:
                     == [1] * 4
             assert pool.restarts == 0
             assert pool.jobs_submitted == 4
+
+    def test_bystander_of_a_crash_is_not_charged(self):
+        # The executor cannot say whose worker died, so the 1 s job
+        # re-runs alone, uncharged, while every death of the poisoned
+        # job alone costs it an attempt.
+        with WorkerPool(workers=2) as pool:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                bystander = threads.submit(pool.run, nap, 1.0, key="nap")
+                poisoned = threads.submit(pool.run, die_until, 99,
+                                          key="poisoned")
+                assert bystander.result(timeout=60) == 1
+                with pytest.raises(ExperimentError,
+                                   match="after 3 attempt"):
+                    poisoned.result(timeout=60)
+
+    def test_job_killed_for_another_jobs_hang_is_not_charged(self):
+        # Killing the hung job's worker kills the pool; the job that
+        # shared it re-runs without spending its only attempt.
+        with WorkerPool(workers=2, retry=RetryPolicy(retries=0)) as pool:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                bystander = threads.submit(pool.run, nap, 2.0, key="nap",
+                                           timeout=5.0)
+                hung = threads.submit(pool.run, hang_once, key="hang",
+                                      timeout=1.0)
+                assert bystander.result(timeout=60) == 1
+                with pytest.raises(ExperimentError, match="timed out"):
+                    hung.result(timeout=60)
+
+    def test_crashes_among_many_threads_charge_only_their_jobs(self):
+        # More threads and workers than cores, switching often: each
+        # job returns its own result, every job beside a crash comes
+        # back on attempt 1, and each crashing job on attempt 2.
+        results, errors = {}, []
+        pool = WorkerPool(workers=3, retry=FAST_RETRY)
+
+        def client(first):
+            try:
+                for x in range(first, 32, 8):
+                    results[x] = pool.run(double_or_die, x, key=f"j{x}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(first,),
+                                    daemon=True) for first in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(kill=True)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == {
+            x: (2 * x, 2 if x % 8 == 0 else 1) for x in range(32)
+        }
 
     def test_deterministic_exceptions_propagate_without_retry(self):
         with WorkerPool(workers=1, retry=FAST_RETRY) as pool:

@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.sweep import SweepTask, run_sweep, scheduler
+from repro.sweep import SweepTask, pool, run_sweep
 from repro.sweep.telemetry import read_trace
 
 TASKS = [SweepTask("lfk12"), SweepTask("lfk1")]
@@ -91,7 +91,7 @@ class TestParallelFaults:
                     raise BrokenProcessPool("a worker died")
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", BreaksOnce)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", BreaksOnce)
         trace = tmp_path / "trace.jsonl"
         tasks = TASKS + [SweepTask("lfk3")]
         result = run_sweep(tasks, jobs=2, retries=2, trace=str(trace))
