@@ -86,7 +86,7 @@ def test_bench_fleet_warm_burst(benchmark, tmp_path):
     finally:
         fleet.stop()
     # Warm requests never recompute: every body comes from the
-    # tiered cache (owner L1, or shared L2 after hot-key rotation).
+    # tiered cache (the owner's L1, which the priming pass filled).
     assert report.origin_counts() == {"cache": len(WARM_FRAMES)}
     assert verify_replay(WARM_FRAMES, report) == []
 

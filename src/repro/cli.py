@@ -457,7 +457,6 @@ def _cmd_serve(args) -> int:
         retries=args.retries,
         shard_id=args.shard_id,
         l2_path=args.l2,
-        lease_ttl_s=args.lease_ttl,
     )
 
     def announce(server) -> None:
@@ -926,17 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--shard-id", default=None, metavar="NAME",
         help="this replica's name in a fleet; labels per-shard "
-        "metrics and L2 leases (default: not part of a fleet)",
+        "metrics (default: not part of a fleet)",
     )
     serve_cmd.add_argument(
         "--l2", default=None, metavar="DIR",
         help="shared fleet L2 result-store directory "
         "(default: per-replica L1 only)",
-    )
-    serve_cmd.add_argument(
-        "--lease-ttl", type=float, default=5.0, metavar="SECONDS",
-        help="shard-owner lease TTL for fleet-wide single-flight "
-        "(default 5)",
     )
 
     fleet_cmd = sub.add_parser(

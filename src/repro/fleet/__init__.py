@@ -3,20 +3,21 @@
 Scales the PR-5 :class:`~repro.service.server.AnalysisServer` from a
 process to a fleet: consistent-hash routing of the service's
 content-digest keys across N replicas, a shard-map-owning client with
-hot-key replication and failover, fleet-wide single-flight via
-shard-owner leases, and a tiered cache (per-replica memory L1 → one
-shared durable L2 directory).  The correctness contract is unchanged
-from one process: every body is byte-identical to the serverless
-oracle, for any replica count, origin, or mid-burst failure.
+failover, and a tiered cache (per-replica memory L1 → one shared
+durable L2 directory).  Owner routing is the only coordination: a
+key's ring owner computes it once and every other replica reads it
+from the L2.  The correctness contract is unchanged from one process:
+every body is byte-identical to the serverless oracle, for any
+replica count, origin, or mid-burst failure.
 
 Public surface:
 
 * :mod:`~repro.fleet.ring` — :class:`HashRing`, the consistent-hash
   shard map (virtual nodes, minimal remap on membership change);
 * :mod:`~repro.fleet.store` — :class:`SharedL2Store`, the fleet's
-  shared result tier and its shard-owner leases;
-* :mod:`~repro.fleet.client` — :class:`FleetClient`, routing +
-  hot-key replication + failover over plain service connections;
+  shared result tier;
+* :mod:`~repro.fleet.client` — :class:`FleetClient`, owner routing +
+  failover over plain service connections;
 * :mod:`~repro.fleet.fabric` — :class:`Fleet`, replica lifecycle in
   thread or process mode, with deterministic partition injection;
 * :mod:`~repro.fleet.replay` — the deterministic traffic-replay
@@ -34,8 +35,6 @@ _EXPORTS = {
     "DEFAULT_VNODES": "ring",
     "SharedL2Store": "store",
     "FleetClient": "client",
-    "DEFAULT_REPLICATION": "client",
-    "DEFAULT_HOT_THRESHOLD": "client",
     "Fleet": "fabric",
     "FleetReplica": "fabric",
     "ReplayReport": "replay",

@@ -7,21 +7,17 @@ the servers use), routes the resulting content-digest key through the
 consistent-hash ring, and sends it to the key's **owner replica** over
 a plain :class:`~repro.service.client.ServiceClient` connection.
 
-Owner routing is what makes single-flight fleet-wide in the common
-case: every duplicate of a key — from any client — lands on the same
-replica, whose per-process single-flight table collapses them into one
-worker job.  The shard-owner *lease* on the shared L2 (see
-:mod:`repro.fleet.store`) only has to cover the uncommon case, when
-two replicas compute the same key concurrently (failover, or clients
-holding shard maps from different memberships).
+Owner routing is the fleet's only coordination: every duplicate of a
+key — from any client — lands on the same replica, whose per-process
+single-flight table collapses them into one worker job, and the
+owner publishes the body to the shared L2 (:mod:`repro.fleet.store`)
+for every other replica to read.  Two replicas compute one key only
+when a request bypasses the owner (a failover while the owner is
+still computing, or a client pinned to another replica); the cost is
+one extra job that produces the same bytes.
 
 Operational behavior:
 
-* **hot-key replication** — a key requested ``hot_threshold`` times is
-  declared hot and round-robined across its first ``replication``
-  ring successors, trading a little coalescing for fan-out of warm
-  cache hits (every successor serves the key from its own L1 after
-  one miss into the shared L2);
 * **failover** — a dead or partitioned replica (connect/send/read
   failure) is marked down and the request replays against the key's
   next ring successor; the PR-4 :class:`~repro.resilience.retry.
@@ -55,19 +51,12 @@ from ..service.client import ServiceClient
 from ..service.protocol import Response, canonicalize
 from .ring import DEFAULT_VNODES, HashRing
 
-#: Keys requested at least this many times count as hot by default.
-DEFAULT_HOT_THRESHOLD = 8
-#: Hot keys fan out over this many ring successors by default.
-DEFAULT_REPLICATION = 2
-
 
 class FleetClient:
     """Route requests across a replica fleet by content key."""
 
     def __init__(self, topology: dict[str, str], *,
                  vnodes: int = DEFAULT_VNODES,
-                 replication: int = DEFAULT_REPLICATION,
-                 hot_threshold: int = DEFAULT_HOT_THRESHOLD,
                  retry: RetryPolicy | None = None,
                  timeout: float = 30.0,
                  partitioner=None):
@@ -78,8 +67,6 @@ class FleetClient:
         #: replica name -> endpoint ("unix:/path" or "tcp:host:port")
         self.topology = dict(topology)
         self.ring = HashRing(self.topology, vnodes=vnodes)
-        self.replication = max(1, min(replication, len(self.ring)))
-        self.hot_threshold = hot_threshold
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy(
             retries=2, base_delay_s=0.05, max_delay_s=0.5
@@ -88,11 +75,8 @@ class FleetClient:
         self.partitioner = partitioner
         self._conns: dict[str, ServiceClient] = {}
         self._down: set[str] = set()
-        self._key_counts: dict[str, int] = {}
-        self._hot_rr: dict[str, int] = {}
         self.requests = 0
         self.failovers = 0
-        self.hot_keys = 0
         self.rejected_retries = 0
 
     # -- membership ----------------------------------------------------
@@ -101,7 +85,6 @@ class FleetClient:
         """Join a replica; only its new arcs' keys change owner."""
         self.ring = self.ring.add(name)
         self.topology[name] = endpoint
-        self.replication = min(self.replication, len(self.ring))
 
     def remove_replica(self, name: str) -> None:
         """Depart a replica; only its own keys change owner."""
@@ -121,25 +104,10 @@ class FleetClient:
     # -- routing -------------------------------------------------------
 
     def route(self, key: str) -> list[str]:
-        """Every replica, in preference order for ``key``.
-
-        The key's full ring successor list, healthy replicas first
-        (down ones stay at the tail as recovery probes).  For a hot
-        key the first ``replication`` successors rotate round-robin,
-        spreading warm hits without leaving the key's replica set.
-        """
+        """Every replica, in preference order for ``key``: the key's
+        ring successors, owner first, with down replicas at the tail
+        (where they are probed again for recovery)."""
         order = self.ring.owners(key, len(self.ring))
-        count = self._key_counts.get(key, 0) + 1
-        self._key_counts[key] = count
-        if count == self.hot_threshold:
-            self.hot_keys += 1
-        if count >= self.hot_threshold and self.replication > 1:
-            turn = self._hot_rr.get(key, 0)
-            self._hot_rr[key] = turn + 1
-            replicas = order[:self.replication]
-            start = turn % len(replicas)
-            order = (replicas[start:] + replicas[:start]
-                     + order[self.replication:])
         healthy = [name for name in order if name not in self._down]
         downs = [name for name in order if name in self._down]
         return healthy + downs
@@ -247,6 +215,5 @@ class FleetClient:
             "down": sorted(self._down),
             "requests": self.requests,
             "failovers": self.failovers,
-            "hot_keys": self.hot_keys,
             "rejected_retries": self.rejected_retries,
         }

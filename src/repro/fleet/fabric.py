@@ -13,7 +13,8 @@ serve disjoint shard arcs of the consistent-hash ring.  Two modes:
 * ``mode="process"`` — each replica is a ``python -m repro serve``
   subprocess.  Real process isolation and real parallelism (no shared
   GIL); what the throughput benchmark and the CI fleet job use.
-  Partitioning is a SIGKILL.
+  Partitioning is a SIGKILL; the replica's workers exit by themselves
+  once it is gone.
 
 Either way a partitioned replica stays *down* — recovery is a new
 replica joining the ring, not a resurrection — and the fleet's shared
@@ -66,7 +67,6 @@ class Fleet:
                  mode: str = "thread", workers: int = 1,
                  queue_limit: int = 256, client_limit: int = 64,
                  cache_max: int = 512, shared_l2: bool = True,
-                 lease_ttl_s: float = 5.0,
                  job_timeout_s: float | None = None):
         if replicas < 1:
             raise ExperimentError(
@@ -83,7 +83,6 @@ class Fleet:
         self.queue_limit = queue_limit
         self.client_limit = client_limit
         self.cache_max = cache_max
-        self.lease_ttl_s = lease_ttl_s
         self.job_timeout_s = job_timeout_s
         self.l2_root = os.path.join(root, "l2") if shared_l2 else None
         self.replicas: dict[str, FleetReplica] = {}
@@ -103,7 +102,6 @@ class Fleet:
             job_timeout_s=self.job_timeout_s,
             shard_id=name,
             l2_path=self.l2_root,
-            lease_ttl_s=self.lease_ttl_s,
         )
 
     def _spawn_process(self, name: str) -> FleetReplica:
@@ -116,7 +114,6 @@ class Fleet:
             "--client-limit", str(self.client_limit),
             "--cache-max", str(self.cache_max),
             "--shard-id", name,
-            "--lease-ttl", str(self.lease_ttl_s),
         ]
         if self.job_timeout_s is not None:
             command += ["--job-timeout", str(self.job_timeout_s)]
@@ -201,15 +198,12 @@ class Fleet:
         }
 
     def client(self, *, vnodes: int = DEFAULT_VNODES,
-               replication: int = 2, hot_threshold: int = 8,
                retry: RetryPolicy | None = None,
                timeout: float = 30.0) -> FleetClient:
         """A FleetClient over the current topology, partition-wired."""
         return FleetClient(
-            self.topology(), vnodes=vnodes,
-            replication=replication, hot_threshold=hot_threshold,
-            retry=retry, timeout=timeout,
-            partitioner=self.partition,
+            self.topology(), vnodes=vnodes, retry=retry,
+            timeout=timeout, partitioner=self.partition,
         )
 
     # -- failure injection and observability ---------------------------

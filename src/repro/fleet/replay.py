@@ -10,7 +10,7 @@ request.  This module is the machinery that proves it under load:
 * :func:`make_zipf_frames` generates a reproducible burst with
   **Zipfian key skew** — a few hot keys dominate, a long tail of cold
   keys follows, exactly the duplicate-heavy mix that exercises
-  single-flight, hot-key replication, and the tiered cache at once.
+  owner routing, single-flight, and the tiered cache at once.
   Generation is a pure function of the seed (``random.Random(seed)``
   end to end), so a corpus regenerates bit-identically anywhere;
 * :func:`record_burst` / :func:`load_burst` persist a corpus as

@@ -76,7 +76,7 @@ class HashRing:
         return node in self.nodes
 
     def owner(self, key: str) -> str:
-        """The replica owning ``key`` (its shard-lease holder)."""
+        """The replica owning ``key``: the one that computes it."""
         index = bisect.bisect_right(
             self._positions, ring_position(key)
         ) % len(self._points)
@@ -86,7 +86,7 @@ class HashRing:
         """The first ``count`` distinct replicas clockwise of ``key``.
 
         ``owners(key, 1)[0] == owner(key)``; the rest are the key's
-        failover successors (and hot-key replica set), in ring order.
+        failover successors, in ring order.
         """
         if count < 1:
             raise ExperimentError(f"count must be >= 1, got {count}")

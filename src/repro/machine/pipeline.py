@@ -36,8 +36,8 @@ closure that applies the instruction's value semantics.
 :func:`run_lowered` is the one run loop: it calls each step, applies the
 timing rules to state held in flat lists indexed by pipe, vector
 register and scalar slot, counts, traces and enforces the watchdog
-budgets.  The simulator drives it with concrete steps; the static
-walker (:mod:`repro.analysis.staticpred`) with abstract ones.
+budgets.  :class:`~repro.machine.simulator.Simulator` is its only
+caller.
 """
 
 from __future__ import annotations

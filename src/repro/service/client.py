@@ -22,6 +22,7 @@ import weakref
 
 from ..errors import ExperimentError
 from .protocol import (
+    ProtocolError,
     Response,
     canonicalize,
     decode_line,
@@ -236,11 +237,18 @@ def offline_response(kind: str, params: dict | None = None) -> Response:
     Canonicalizes through the same :func:`canonicalize` and computes
     through the same worker entry point as the server, so the returned
     :class:`Response` body (and :meth:`Response.render` text) is
-    byte-identical to the server's for the same request.
+    byte-identical to the server's for the same request.  An
+    ``_inject`` fault is refused with :class:`ProtocolError`: there is
+    no worker here to act it out.
     """
     from .jobs import execute_request
 
     request = canonicalize(kind, params)
+    if "_inject" in request.payload:
+        raise ProtocolError(
+            "_inject needs a server's worker process to inject into; "
+            "an offline request has none"
+        )
     payload = execute_request(request.payload)
     if payload["status"] == "ok":
         return Response(

@@ -7,8 +7,8 @@ Architecture::
                          per frame: control,      hits end here)
                          usage errors,         ──▶ admission control
                          rejections, hits)     ──▶ single-flight table
-                                  │            ──▶ L2 lease
                                   │            ──▶ WorkerPool (processes)
+                                  │            ──▶ publish to L2
                                   ▼
                         one task per cold frame: awaits its flight,
                         writes its reply
@@ -31,6 +31,12 @@ Operational behavior:
 * **single-flight** — concurrent identical requests (same content
   digest) trigger exactly one worker job
   (:mod:`repro.service.singleflight`);
+* **shared L2** — with ``l2_path`` a cold frame probes the fleet's
+  L2 (:mod:`repro.fleet.store`) at dispatch, and a computed body is
+  published there after its job.  A replica never waits on another:
+  owner routing (:mod:`repro.fleet.client`) keeps a key on one
+  replica, and two replicas that do compute it publish the same
+  bytes;
 * **deadlines** — per-request ``deadline_s`` (or the server default)
   bounds the wall clock via :class:`repro.resilience.watchdog.Deadline`
   semantics; expiry is a typed ``budget`` error, and the underlying
@@ -50,7 +56,8 @@ Fork hygiene: worker processes are forked from the serving process, so
 every listening socket is registered and **closed in the child** at
 fork (a worker must never hold the server's accept socket open), and
 the armed chaos plan, the telemetry collector and every memo (the L1
-included) are dropped by their own modules' fork hooks.
+included) are dropped by their own modules' fork hooks.  A worker
+exits by itself once the server is gone (:mod:`repro.sweep.pool`).
 """
 
 from __future__ import annotations
@@ -144,15 +151,10 @@ class ServiceConfig:
     #: crash/hang retry budget for worker jobs
     retries: int = 2
     #: this replica's name in a fleet (None = not part of a fleet);
-    #: labels the per-shard metrics dimension and the L2 leases
+    #: labels the per-shard metrics dimension
     shard_id: str | None = None
     #: shared L2 result-store directory (None = L1 only)
     l2_path: str | None = None
-    #: shard-owner lease TTL: how long other replicas wait on this
-    #: one's in-flight computation before computing themselves
-    lease_ttl_s: float = 5.0
-    #: poll interval while following another replica's lease
-    lease_poll_s: float = 0.02
 
     def __post_init__(self):
         if self.socket_path is None and self.host is None:
@@ -631,7 +633,7 @@ class AnalysisServer:
         job's error payload."""
         try:
             payload = await asyncio.to_thread(
-                self._compute_with_lease, request, key
+                self._run_job, request, key
             )
         except BaseException as exc:
             self.singleflight.finish(key, error=exc)
@@ -644,8 +646,11 @@ class AnalysisServer:
         self.singleflight.finish(key, result=body)
 
     def _run_job(self, request: Request, key: str) -> dict:
-        """One pool job.  A body computed here counts under
-        ``static_answers`` for ``advise``, ``computed`` otherwise."""
+        """One pool job, on a request thread.  A body computed here
+        counts under ``static_answers`` for ``advise``, ``computed``
+        otherwise, and is published to the shared L2 when there is
+        one.  Nothing here waits on another replica: if two replicas
+        compute one key, both publish the same bytes."""
         payload = self.pool.run(
             execute_request, request.payload,
             key=key, timeout=self.config.job_timeout_s,
@@ -657,63 +662,8 @@ class AnalysisServer:
             )
             self.metrics.count(counter)
             self.metrics.count_shard(counter)
-        return payload
-
-    def _compute_with_lease(self, request: Request, key: str) -> dict:
-        """One flight's computation, coalesced fleet-wide.
-
-        Per-process single-flight already guarantees one pool job per
-        key *in this replica*; the shard-owner lease on the shared L2
-        extends that across the fleet.  The happy path (owner routing)
-        wins the lease trivially; a second replica computing the same
-        key concurrently — failover, or clients on different shard
-        maps — loses it and **follows** instead: it polls the L2 for
-        the winner's published body.  A dead or slow winner is bounded
-        by the lease TTL, after which the follower computes anyway —
-        correct either way, since bodies are deterministic.
-
-        Runs on a worker thread (``asyncio.to_thread``): the poll
-        sleeps never block the event loop.
-        """
-        if self.l2 is None:
-            return self._run_job(request, key)
-        owner = self.config.shard_id or f"pid-{os.getpid()}"
-        ttl_s = self.config.lease_ttl_s
-        if self.l2.acquire_lease(key, owner, ttl_s):
-            # Re-check the L2 under the lease: another replica may
-            # have published (and released) between our dispatch-time
-            # probe and this acquisition.
-            body = self.l2.get(key)
-            if body is not None:
-                self.l2.release_lease(key, owner)
-                self.metrics.count_shard("fleet_coalesced")
-                return {"status": "ok", "body": body}
-        else:
-            deadline = time.monotonic() + ttl_s
-            while True:
-                # Look at the lease before the body: the winner
-                # publishes before it releases, so once the lease is
-                # gone the read below sees any body it left.
-                held = time.monotonic() < deadline and \
-                    self.l2.lease_held(key, ttl_s)
-                body = self.l2.get(key)
-                if body is not None:
-                    self.metrics.count_shard("fleet_coalesced")
-                    return {"status": "ok", "body": body}
-                if not held:
-                    break  # released, expired, or waited a full TTL
-                time.sleep(self.config.lease_poll_s)
-            # Not published in time: compute it ourselves.  The
-            # duplicate work costs cycles, never bytes.
-            self.l2.acquire_lease(key, owner, ttl_s)
-        try:
-            payload = self._run_job(request, key)
-            if payload["status"] == "ok":
-                # Publish *before* releasing the lease so a follower
-                # never sees the lease vanish with no body to read.
+            if self.l2 is not None:
                 self.l2.put(key, request.kind, payload["body"])
-        finally:
-            self.l2.release_lease(key, owner)
         return payload
 
 

@@ -21,7 +21,12 @@ supervises it:
   killed and rebuilt.  The hung job is charged an attempt; the jobs
   killed with it re-run uncharged;
 * an exception raised by the job function propagates to the caller
-  on its first occurrence.
+  on its first occurrence;
+* a worker whose parent dies exits by itself within about a second.
+  Nothing else ends it: it waits on a call queue whose write end it
+  holds itself, and one forked from ``serve`` inherits the server's
+  SIGTERM handler, so a replica or sweep that dies by SIGKILL would
+  leave its workers running until they too were SIGKILLed.
 
 Job functions must be picklable module-level callables; they receive
 their arguments plus an ``attempt`` keyword (1-based), which is how
@@ -41,13 +46,28 @@ goes before every job that has not started.
 
 from __future__ import annotations
 
+import os
 import threading
+import time
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from ..errors import ExperimentError
 from ..resilience.retry import RetryPolicy
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: ``os._exit`` once ``parent``, the process
+    that forked this worker, is gone (the worker is re-parented)."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()
 
 
 def stop_pool(executor: ProcessPoolExecutor, kill: bool = False,
@@ -157,7 +177,9 @@ class WorkerPool:
                 raise self._shut_down()
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers
+                    max_workers=self.workers,
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
                 )
             job = _Job(key, self._generation, alone)
             self._running += 1

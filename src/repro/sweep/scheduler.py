@@ -32,7 +32,10 @@ recovery paths can be tested deterministically: a mapping
 of that task ``"raise"``, ``"exit"`` (``os._exit``), or ``"hang"``.
 A :class:`~repro.resilience.faults.FaultPlan` (``fault_plan=`` or the
 plan armed via ``macs-repro --chaos``) feeds the same mechanism from
-its ``site="worker"`` entries.
+its ``site="worker"`` entries.  ``exit`` and ``hang`` need a worker
+process, so a ``jobs=1`` sweep refuses them with
+:class:`~repro.errors.ExperimentError` before any cell runs; ``raise``
+runs inline.
 
 Resilience semantics layered on top (see ``docs/robustness.md``):
 
@@ -318,6 +321,16 @@ def run_sweep(
     plan = fault_plan if fault_plan is not None else _faults.active_plan()
     faults = dict(plan.worker_faults()) if plan is not None else {}
     faults.update(inject_faults or {})
+    if jobs == 1:
+        # Inline cells run in this process: an exit fault would kill
+        # it and a hang would stall it, with no pool to recover.
+        for index, (kind, _attempts) in sorted(faults.items()):
+            if kind in ("exit", "hang"):
+                raise ExperimentError(
+                    f"worker fault {kind!r} on task {index} needs a "
+                    "worker process, and a jobs=1 sweep runs its "
+                    "cells inline; use --jobs 2"
+                )
 
     telemetry = tele.Telemetry(trace)
     deadline = Deadline(deadline_s)

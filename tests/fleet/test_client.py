@@ -1,4 +1,4 @@
-"""FleetClient unit + integration tests: routing, failover, hotness."""
+"""FleetClient unit + integration tests: routing and failover."""
 
 import pytest
 
@@ -21,14 +21,14 @@ FAKE_TOPOLOGY = {
 
 class TestRouting:
     def test_route_prefers_the_ring_owner(self):
-        client = FleetClient(FAKE_TOPOLOGY, hot_threshold=10**9)
+        client = FleetClient(FAKE_TOPOLOGY)
         key = canonicalize("advise", {"kernel": "lfk1"}).key
         order = client.route(key)
         assert order[0] == client.ring.owner(key)
         assert sorted(order) == sorted(FAKE_TOPOLOGY)
 
     def test_down_replicas_sink_to_the_tail(self):
-        client = FleetClient(FAKE_TOPOLOGY, hot_threshold=10**9)
+        client = FleetClient(FAKE_TOPOLOGY)
         key = canonicalize("advise", {"kernel": "lfk1"}).key
         owner = client.ring.owner(key)
         client.mark_down(owner)
@@ -38,20 +38,12 @@ class TestRouting:
         client.mark_up(owner)
         assert client.route(key)[0] == owner
 
-    def test_hot_keys_rotate_over_the_replica_set(self):
-        client = FleetClient(
-            FAKE_TOPOLOGY, replication=2, hot_threshold=3
-        )
+    def test_every_request_routes_to_the_ring_owner(self):
+        client = FleetClient(FAKE_TOPOLOGY)
         key = canonicalize("advise", {"kernel": "lfk1"}).key
-        owners = client.ring.owners(key, 2)
-        heads = [client.route(key)[0] for _ in range(8)]
-        # Cold phase: always the owner.
-        assert heads[:2] == [owners[0], owners[0]]
-        # Hot phase: round-robin within the replica set, never
-        # outside it.
-        assert set(heads[2:]) == set(owners)
-        assert heads[2] != heads[3]
-        assert client.hot_keys == 1
+        owner = client.ring.owner(key)
+        heads = [client.route(key)[0] for _ in range(20)]
+        assert heads == [owner] * 20
 
     def test_membership_changes_resize_the_ring(self):
         client = FleetClient(dict(FAKE_TOPOLOGY))

@@ -1,8 +1,6 @@
-"""Shared L2 store unit tests: bodies, leases, degradation."""
+"""Shared L2 store unit tests: bodies and degradation."""
 
 import json
-import os
-import time
 
 import pytest
 
@@ -60,61 +58,3 @@ class TestBodies:
         store.put("after", "advise", {"v": 3})
         assert store.get("after") is None
         assert store.stats()["degraded"] == store.degraded
-
-
-class TestLeases:
-    def test_exclusive_acquire(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        assert store.acquire_lease("k", "replica-0", ttl_s=30.0)
-        assert not store.acquire_lease("k", "replica-1", ttl_s=30.0)
-        holder = store.lease_holder("k")
-        assert holder["owner"] == "replica-0"
-        assert holder["expires"] > time.time()
-
-    def test_release_then_reacquire(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        assert store.acquire_lease("k", "replica-0", ttl_s=30.0)
-        store.release_lease("k", "replica-0")
-        assert store.lease_holder("k") is None
-        assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
-
-    def test_release_is_owner_checked(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        assert store.acquire_lease("k", "replica-0", ttl_s=30.0)
-        store.release_lease("k", "replica-1")  # not yours: no-op
-        assert store.lease_holder("k")["owner"] == "replica-0"
-
-    def test_expired_lease_is_stolen(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        assert store.acquire_lease("k", "dead-replica", ttl_s=0.0)
-        assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
-        assert store.lease_holder("k")["owner"] == "replica-1"
-
-    def test_unreadable_lease_is_stolen(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        path = store._lease_path("k")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("not json")
-        aged = time.time() - 31.0
-        os.utime(path, (aged, aged))
-        assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
-
-    def test_fresh_empty_lease_is_held_until_the_ttl(self, tmp_path):
-        # A winner creates its lease file before it writes the record;
-        # a contender reading it in between must not take the lease.
-        store = SharedL2Store(str(tmp_path))
-        path = store._lease_path("k")
-        open(path, "w", encoding="utf-8").close()
-        assert store.lease_holder("k") is None
-        assert not store.acquire_lease("k", "replica-1", ttl_s=30.0)
-        assert store.lease_held("k", ttl_s=30.0)
-        aged = time.time() - 31.0
-        os.utime(path, (aged, aged))
-        assert not store.lease_held("k", ttl_s=30.0)
-        assert store.acquire_lease("k", "replica-1", ttl_s=30.0)
-        assert store.lease_holder("k")["owner"] == "replica-1"
-
-    def test_leases_are_per_key(self, tmp_path):
-        store = SharedL2Store(str(tmp_path))
-        assert store.acquire_lease("k1", "replica-0", ttl_s=30.0)
-        assert store.acquire_lease("k2", "replica-1", ttl_s=30.0)
