@@ -29,12 +29,15 @@ sweep cells reported as results), 2 usage errors, 3 workload/compile-
 layer errors, 4 simulation/machine errors (including exhausted
 watchdog budgets and expired request deadlines), 5 infrastructure
 errors (store corruption, crashed sweeps, bad fault plans), 6 server
-unavailable (cannot connect, admission-rejected, draining).
+unavailable (cannot connect, admission-rejected, draining), 141 stdout
+closed by its reader (``experiment all | head -1``; what a shell
+reports for a writer killed by SIGPIPE), with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -68,6 +71,8 @@ EXIT_WORKLOAD = 3
 EXIT_SIMULATION = 4
 EXIT_INFRASTRUCTURE = 5
 EXIT_SERVER = 6
+#: What a shell reports for a writer killed by SIGPIPE (128 + 13).
+EXIT_PIPE = 141
 
 
 def exit_code_for(exc: ReproError) -> int:
@@ -1114,11 +1119,24 @@ def main(argv: list[str] | None = None) -> int:
 
             plan = _faults.FaultPlan.load(args.chaos)
             with _faults.chaos(plan):
-                return handlers[args.command](args)
-        return handlers[args.command](args)
+                status = handlers[args.command](args)
+        else:
+            status = handlers[args.command](args)
+        # Flush while a closed stdout can still be handled below, not
+        # at interpreter exit.
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except BrokenPipeError:
+        # stdout's reader has gone (``experiment all | head -1``).
+        # Point stdout at /dev/null so the flush at interpreter exit
+        # has nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

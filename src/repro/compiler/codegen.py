@@ -32,6 +32,7 @@ from ..lang.analysis import (
     LoopAnalysis,
     analyze_loop,
     collect_integer_constants,
+    constant_int,
 )
 from ..lang.ast import (
     ArrayRef,
@@ -558,7 +559,7 @@ class CodeGenerator:
         self._emit_statements(loop.body)
         # Advance the loop variable by the (possibly runtime) step.
         b.sload(self.env.slot_mem(loop.var), a1)
-        step_const = _fold_const(loop.step)
+        step_const = constant_int(loop.step)
         if step_const is not None:
             b.add_imm(step_const, a1)
         else:
@@ -843,12 +844,6 @@ class CodeGenerator:
             mnemonic, operands[0], operands[1],
             vreg(allocated.output_reg), suffix="d",
         )
-
-
-def _fold_const(expr) -> int | None:
-    from .scalar import _fold_int
-
-    return _fold_int(expr)
 
 
 def compile_kernel(

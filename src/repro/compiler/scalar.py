@@ -18,7 +18,7 @@ from ..errors import CompileError
 from ..isa.builder import AsmBuilder
 from ..isa.operands import Immediate, MemRef
 from ..isa.registers import Register, areg, sreg
-from ..lang.analysis import LinearForm
+from ..lang.analysis import LinearForm, constant_int
 from ..lang.ast import (
     ArrayRef,
     BinOp,
@@ -172,7 +172,7 @@ class ScalarCompiler:
         variable: Expr | None = None
         for index_expr, stride in zip(ref.indices, info.dim_strides()):
             term: Expr = index_expr
-            folded = _fold_int(index_expr)
+            folded = constant_int(index_expr)
             if folded is not None:
                 constant += folded * stride
                 continue
@@ -329,27 +329,3 @@ class ScalarCompiler:
             b.branch_true(target_label)
         else:
             b.branch_false(target_label)
-
-
-def _fold_int(expr: Expr) -> int | None:
-    """Fold an expression to an integer constant when possible."""
-    if isinstance(expr, Const):
-        value = float(expr.value)
-        return int(value) if value.is_integer() else None
-    if isinstance(expr, UnaryOp) and expr.op == "-":
-        inner = _fold_int(expr.operand)
-        return None if inner is None else -inner
-    if isinstance(expr, BinOp):
-        left = _fold_int(expr.left)
-        right = _fold_int(expr.right)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/" and right != 0 and left % right == 0:
-            return left // right
-    return None

@@ -41,9 +41,10 @@ from ..service.protocol import ProtocolError, canonicalize
 
 #: Default Zipf exponent (s=1.1: hot head, heavy tail).
 DEFAULT_SKEW = 1.1
-#: Compute kinds the generator draws from by default.  ``advise`` is
-#: the static tier (no simulation), which keeps replay gates quick;
-#: mixes may add simulator-backed kinds like ``bound``.
+#: Compute kinds the generator draws from by default.  ``advise``
+#: answers from the memoized simulation of its kernel, options and
+#: machine, the one ``run`` and ``analyze`` reuse; mixes may add
+#: other kinds like ``bound``.
 DEFAULT_KINDS = ("advise",)
 #: Option variants the generator crosses with the workloads.
 DEFAULT_VARIANTS = ("default", "reuse", "tight-sregs",

@@ -241,16 +241,17 @@ class LoopAnalysis:
 # ----------------------------------------------------------------------
 
 
-def _constant_int(expr: Expr) -> int | None:
-    """Fold an expression to an integer when statically possible."""
+def constant_int(expr: Expr) -> int | None:
+    """Fold an expression to an integer when statically possible:
+    integral literals under ``-``, ``+``, ``*`` and exact ``/``."""
     if isinstance(expr, Const):
         return int(expr.value) if float(expr.value).is_integer() else None
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        inner = _constant_int(expr.operand)
+        inner = constant_int(expr.operand)
         return None if inner is None else -inner
     if isinstance(expr, BinOp):
-        left = _constant_int(expr.left)
-        right = _constant_int(expr.right)
+        left = constant_int(expr.left)
+        right = constant_int(expr.right)
         if left is None or right is None:
             return None
         if expr.op == "+":
@@ -266,7 +267,7 @@ def _constant_int(expr: Expr) -> int | None:
 
 def find_inductions(loop: DoLoop, table: SymbolTable) -> dict[str, Induction]:
     """Loop counter plus derived integer inductions (``i = i + c``)."""
-    step = _constant_int(loop.step)
+    step = constant_int(loop.step)
     if step is None or step == 0:
         raise VectorizationError(
             f"loop step {loop.step} is not a nonzero integer constant"
@@ -290,7 +291,7 @@ def find_inductions(loop: DoLoop, table: SymbolTable) -> dict[str, Induction]:
             continue
         increment = None
         if isinstance(expr.left, VarRef) and expr.left.name == name:
-            increment = _constant_int(expr.right)
+            increment = constant_int(expr.right)
             if increment is not None and expr.op == "-":
                 increment = -increment
         elif (
@@ -298,7 +299,7 @@ def find_inductions(loop: DoLoop, table: SymbolTable) -> dict[str, Induction]:
             and isinstance(expr.right, VarRef)
             and expr.right.name == name
         ):
-            increment = _constant_int(expr.left)
+            increment = constant_int(expr.left)
         if increment is not None:
             inductions[name] = Induction(name, increment, index)
     return inductions
@@ -332,7 +333,7 @@ def _access_function(
             base.const += coeff * induction.step * pre
             if name == loop.var:
                 # entry value of the loop counter is the lower bound
-                lower_const = _constant_int(loop.lower)
+                lower_const = constant_int(loop.lower)
                 if lower_const is not None:
                     base.const += coeff * lower_const
                 else:
@@ -446,7 +447,7 @@ def analyze_loop(
     constants: dict[str, int] | None = None,
 ) -> LoopAnalysis:
     """Analyze an innermost DO loop for vectorization."""
-    step = _constant_int(loop.step)
+    step = constant_int(loop.step)
     if step is None or step == 0:
         return LoopAnalysis(
             loop, step=1, vectorizable=False,

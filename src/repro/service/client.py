@@ -5,6 +5,11 @@ socket.  It supports **pipelining**: :meth:`request_many` writes every
 request before reading any response, correlates out-of-order responses
 by ``id``, and returns them in request order — the shape the
 single-flight and admission tests (and the CI service job) rely on.
+A process that holds a client may also fork service workers (a test,
+a benchmark, a thread-mode fleet); each worker points its copy of the
+client's socket at ``/dev/null`` when it starts
+(:mod:`repro.sweep.pool`), so the client's ``close()`` still reaches
+the server as EOF.
 
 :func:`offline_response` executes the same canonical request inline,
 with no server at all, through the identical worker entry point
@@ -16,9 +21,7 @@ wired into ``macs-repro request --offline`` and the CI comparison.
 
 from __future__ import annotations
 
-import os
 import socket
-import weakref
 
 from ..errors import ExperimentError
 from .protocol import (
@@ -50,38 +53,6 @@ def parse_endpoint(endpoint: str) -> tuple[str, object]:
         ) from None
 
 
-#: Connected clients in this process, so the fork hook below can close
-#: their sockets in forked children.
-_LIVE_CLIENTS: "weakref.WeakSet[ServiceClient]" = weakref.WeakSet()
-
-
-def _close_client_sockets_in_children() -> None:
-    """Forked processes must not hold a copy of a client connection.
-
-    A child keeping the connection's file description open would make
-    the client's ``close()`` invisible to the server (no EOF is
-    delivered while any copy survives).  This matters in-process: the
-    service's own worker pool forks from a process that may also host
-    test/benchmark clients.  Closing the *child's* socket object only
-    closes the child's descriptor; the parent connection is untouched.
-    """
-    for client in list(_LIVE_CLIENTS):
-        sock = client._sock
-        if sock is None:
-            continue
-        try:
-            # close() would defer while the makefile() reader holds an
-            # io-ref; detach + close releases the descriptor for real.
-            fd = sock.detach()
-            if fd >= 0:
-                os.close(fd)
-        except OSError:
-            pass
-
-
-os.register_at_fork(after_in_child=_close_client_sockets_in_children)
-
-
 class ServiceClient:
     """A blocking NDJSON client for one server connection."""
 
@@ -111,7 +82,6 @@ class ServiceClient:
             ) from exc
         self._sock = sock
         self._rfile = sock.makefile("rb")
-        _LIVE_CLIENTS.add(self)
         return self
 
     def close(self) -> None:

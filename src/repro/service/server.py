@@ -52,12 +52,15 @@ Operational behavior:
   client ever seeing an error, and a crash is charged only to a job
   that was alone in the pool (:mod:`repro.sweep.pool`).
 
-Fork hygiene: worker processes are forked from the serving process, so
-every listening socket is registered and **closed in the child** at
-fork (a worker must never hold the server's accept socket open), and
-the armed chaos plan, the telemetry collector and every memo (the L1
-included) are dropped by their own modules' fork hooks.  A worker
-exits by itself once the server is gone (:mod:`repro.sweep.pool`).
+Fork hygiene: worker processes are forked from the serving process and
+start in one place, the pool's worker initializer
+(:mod:`repro.sweep.pool`).  It points every inherited socket (the
+listeners, every connection, asyncio's self-pipe) at ``/dev/null`` and
+unhooks the signal wakeup, so a worker never holds a connection open
+and a signal sent to it never drains the server.  The armed chaos
+plan, the telemetry collector and every memo (the L1 included) are
+dropped by their own modules' fork hooks.  A worker exits by itself
+once the server is gone.
 """
 
 from __future__ import annotations
@@ -65,10 +68,8 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import socket
 import threading
 import time
-import weakref
 from collections.abc import Coroutine
 from dataclasses import dataclass
 
@@ -99,25 +100,6 @@ from .singleflight import SingleFlight
 #: accepts, and bytes a connection's read loop answers before it
 #: yields to the other connections.
 _READ_SIZE = 64 * 1024
-
-#: Live servers, so fork hooks can close inherited listen sockets.
-_LIVE_SERVERS: "weakref.WeakSet[AnalysisServer]" = weakref.WeakSet()
-
-
-def _close_server_sockets_in_children() -> None:
-    """A forked worker must never inherit an open server socket.
-
-    That covers the listeners *and* every accepted connection: a
-    worker holding a copy of a connection's file description would
-    keep the connection half-open — the peer's ``close()`` stops
-    producing an EOF, so the server never notices the hangup.
-    """
-    for server in list(_LIVE_SERVERS):
-        server._close_raw_sockets()
-
-
-os.register_at_fork(after_in_child=_close_server_sockets_in_children)
-
 
 async def _skip_frame(reader: asyncio.StreamReader, read: int) -> None:
     """Discard a frame longer than the reader's limit: the ``read``
@@ -197,16 +179,13 @@ class AnalysisServer:
         self._partitioned = False
         self.endpoints: list[str] = []
         self._servers: list[asyncio.AbstractServer] = []
-        self._raw_sockets: list[socket.socket] = []
         self._writers: set[asyncio.StreamWriter] = set()
-        self._conn_fds: set[int] = set()
         self._conn_counter = 0
         self._conn_tasks: set[asyncio.Task] = set()
         self._flights: set[asyncio.Task] = set()
         self._auto_id = 0
         self._active = 0
         self._drained: asyncio.Event | None = None
-        _LIVE_SERVERS.add(self)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -228,25 +207,6 @@ class AnalysisServer:
             for sock in server.sockets:
                 host, port = sock.getsockname()[:2]
                 self.endpoints.append(f"tcp:{host}:{port}")
-        for server in self._servers:
-            self._raw_sockets.extend(server.sockets)
-
-    def _close_raw_sockets(self) -> None:
-        # asyncio hands out TransportSocket wrappers without close();
-        # closing the file descriptor works in parent and child alike.
-        fds = set(self._conn_fds)
-        for sock in self._raw_sockets:
-            try:
-                fds.add(sock.fileno())
-            except (OSError, ValueError):
-                pass
-        for fd in fds:
-            if fd < 0:
-                continue
-            try:
-                os.close(fd)
-            except OSError:
-                pass
 
     def partition(self) -> None:
         """Abruptly sever this replica from the network (chaos drill).
@@ -355,15 +315,6 @@ class AnalysisServer:
         client_id = f"client-{self._conn_counter}"
         self.metrics.count("connections")
         self._writers.add(writer)
-        conn_fd = -1
-        conn_sock = writer.get_extra_info("socket")
-        if conn_sock is not None:
-            try:
-                conn_fd = conn_sock.fileno()
-            except (OSError, ValueError):
-                conn_fd = -1
-        if conn_fd >= 0:
-            self._conn_fds.add(conn_fd)
         conn_task = asyncio.current_task()
         if conn_task is not None:
             self._conn_tasks.add(conn_task)
@@ -412,7 +363,6 @@ class AnalysisServer:
             if replies:
                 await asyncio.gather(*replies, return_exceptions=True)
             self._writers.discard(writer)
-            self._conn_fds.discard(conn_fd)
             if conn_task is not None:
                 self._conn_tasks.discard(conn_task)
             writer.close()

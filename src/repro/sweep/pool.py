@@ -22,11 +22,18 @@ supervises it:
   killed with it re-run uncharged;
 * an exception raised by the job function propagates to the caller
   on its first occurrence;
+* a worker starts in one place, :func:`_start_worker`.  It drops
+  what the fork handed it of the parent's sockets and signals: a
+  signal sent to the worker never wakes the parent's event loop
+  (where a SIGTERM would drain a ``serve`` replica), and no inherited
+  socket stays open in it (a worker holding a copy of a connection
+  hides the peer's hangup from the server).  The memo, telemetry and
+  chaos-plan modules drop their own state in their at-fork hooks;
 * a worker whose parent dies exits by itself within about a second.
   Nothing else ends it: it waits on a call queue whose write end it
   holds itself, and one forked from ``serve`` inherits the server's
-  SIGTERM handler, so a replica or sweep that dies by SIGKILL would
-  leave its workers running until they too were SIGKILLed.
+  no-op SIGTERM handler, so a replica or sweep that dies by SIGKILL
+  would leave its workers running until they too were SIGKILLed.
 
 Job functions must be picklable module-level callables; they receive
 their arguments plus an ``attempt`` keyword (1-based), which is how
@@ -47,6 +54,8 @@ goes before every job that has not started.
 from __future__ import annotations
 
 import os
+import signal
+import stat
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
@@ -57,9 +66,29 @@ from ..errors import ExperimentError
 from ..resilience.retry import RetryPolicy
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Worker initializer: ``os._exit`` once ``parent``, the process
-    that forked this worker, is gone (the worker is re-parented)."""
+def _start_worker(parent: int) -> None:
+    """Worker initializer: drop what the fork inherited from ``parent``,
+    then ``os._exit`` once ``parent`` is gone (the worker is
+    re-parented).
+
+    A signal sent to the worker never wakes the parent's event loop, and
+    every inherited socket above fd 2 is pointed at ``/dev/null``: a
+    worker holding a copy of a connection keeps it half-open, so its
+    peer's ``close()`` never reaches the server as EOF.  ``dup2`` rather
+    than ``close`` keeps each number taken, so a stale socket object
+    finalized later in the worker closes ``/dev/null``, never a file the
+    job opened.  Fds 0-2 stay: under systemd they are journald sockets.
+    """
+    signal.set_wakeup_fd(-1)
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    os.close(devnull)
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -178,7 +207,7 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    initializer=_exit_with_parent,
+                    initializer=_start_worker,
                     initargs=(os.getpid(),),
                 )
             job = _Job(key, self._generation, alone)

@@ -402,9 +402,6 @@ def run_sweep(
         )
         with lock:
             outcomes[index] = outcome
-            for name, s in outcome.stages.items():
-                telemetry.record_stage(name, s["wall_s"], s["cpu_s"])
-            telemetry.record_counters(outcome.counters)
             telemetry.emit(
                 "task_end",
                 key=outcome.key,

@@ -154,12 +154,6 @@ class Telemetry:
         """Aggregate simulator counters (summed across runs)."""
         self.counters.update(counts)
 
-    def merge(self, other: "Telemetry") -> None:
-        """Fold another collector's stages/counters into this one."""
-        for name, totals in other.stages.items():
-            self.record_stage(name, totals.wall_s, totals.cpu_s)
-        self.counters.update(other.counters)
-
 
 #: The active collector, or None (module-level helpers are no-ops).
 _ACTIVE: Telemetry | None = None

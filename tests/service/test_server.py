@@ -6,7 +6,15 @@ up their own short-lived instances.
 """
 
 import asyncio
+import os
+import signal
+import socket
+import stat
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +28,10 @@ from repro.service.client import (
 from repro.service.server import AnalysisServer
 from repro.workloads import clear_caches
 
+from ..fleet.test_worker_orphans import _children
 from .test_protocol import NON_OBJECTS
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -312,41 +323,87 @@ class TestDeadlines:
             thread.stop()
 
 
+def _socket_fds(fds=None, attempt=1) -> list[int]:
+    """The fds above 2 that are sockets in this process: all of them,
+    or those among ``fds``.  A pool job as well as a helper."""
+    if fds is None:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    found = []
+    for fd in fds:
+        try:
+            if fd > 2 and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                found.append(fd)
+        except OSError:
+            pass  # closed, such as the listing's own descriptor
+    return found
+
+
 class TestForkHygiene:
     def test_forked_child_closes_inherited_listen_sockets(self):
-        """A forked worker must never hold the server's accept socket
-        open: if it did, the port would stay bound after the server
-        exits and drained connections would hang in limbo."""
-        import os
-
+        """A pool worker holds none of the sockets of the process it
+        was forked from: not the server's listeners (the port would
+        stay bound after the server exits), not a connection (its
+        peer's close would never reach the server as EOF), and not a
+        socket no registry knows about."""
         thread = start_in_thread(
             ServiceConfig(host="127.0.0.1", workers=1)
         )
+        left, right = socket.socketpair()
         try:
-            fds = [
-                sock.fileno()
-                for sock in thread.server._raw_sockets
-            ]
-            assert fds and all(fd >= 0 for fd in fds)
-            pid = os.fork()
-            if pid == 0:
-                # Child: the at-fork hook must have closed every
-                # inherited listener fd.
-                closed = 0
-                for fd in fds:
-                    try:
-                        os.fstat(fd)
-                    except OSError:
-                        closed += 1
-                os._exit(0 if closed == len(fds) else 1)
-            _, wait_status = os.waitpid(pid, 0)
-            assert os.WIFEXITED(wait_status)
-            assert os.WEXITSTATUS(wait_status) == 0
+            with ServiceClient(thread.endpoints[0]) as active:
+                assert active.ping()
+                fds = _socket_fds()
+                listeners = [sock.fileno()
+                             for server in thread.server._servers
+                             for sock in server.sockets]
+                assert listeners
+                assert set(listeners) <= set(fds)
+                assert active._sock.fileno() in fds
+                assert {left.fileno(), right.fileno()} <= set(fds)
+                # The pool forks its worker for this first job.
+                assert thread.server.pool.run(_socket_fds, fds) == []
             # The parent's listener still works after the fork.
             with ServiceClient(thread.endpoints[0]) as active:
                 assert active.ping()
         finally:
+            left.close()
+            right.close()
             thread.stop()
+
+    def test_sigterm_to_a_worker_leaves_the_replica_serving(
+            self, tmp_path):
+        """A worker forked from ``serve`` inherits the replica's signal
+        wakeup; a SIGTERM sent to the worker must not drain the
+        replica."""
+        sock = str(tmp_path / "serve.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            env=env, text=True,
+        )
+        try:
+            assert "listening on" in process.stdout.readline()
+            with ServiceClient(f"unix:{sock}", timeout=60.0) as active:
+                cold = active.request("bound", {"kernel": "lfk1"})
+                assert cold.ok and cold.origin == "computed"
+                workers = _children(process.pid)
+                assert len(workers) == 1
+                os.kill(workers[0], signal.SIGTERM)
+                # Room for a leaked wakeup to reach the replica's loop.
+                time.sleep(0.5)
+                assert active.healthz()["status"] == "ok"
+                again = active.request("bound", {"kernel": "lfk2"})
+                assert again.ok and again.origin == "computed"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
 
 class TestDrain:
@@ -370,8 +427,6 @@ class TestDrain:
         assert not thread.thread.is_alive()
 
     def test_stop_is_clean_and_removes_socket(self, tmp_path):
-        import os
-
         sock = str(tmp_path / "drain.sock")
         thread = start_in_thread(
             ServiceConfig(socket_path=sock, workers=1)

@@ -1,11 +1,17 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.sweep import reset_sweep_defaults
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +127,26 @@ class TestErrorPaths:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["list"], ["experiment", "all"]])
+    def test_closed_stdout_exits_141_without_a_traceback(self, argv):
+        # The reader is gone before the CLI writes.  With stdout
+        # block-buffered, ``experiment all`` fails on a write mid-run
+        # and the short ``list`` only on its final flush.
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert completed.returncode == 141
+        assert completed.stderr == b""
 
 
 class TestSweepCommand:
