@@ -17,6 +17,7 @@ PYTHONPATH=src python -m repro lint "$target" --min-severity warning
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
     ruff check src/repro/analysis
+    ruff check --select F401 src/repro
 else
     echo "== ruff: not installed, skipping =="
 fi

@@ -62,7 +62,7 @@ def _start_cold_fleet(root, replicas):
     start-up.
     """
     fleet = Fleet(
-        str(root), replicas, mode="process", workers=1,
+        str(root), replicas, workers=1,
         shared_l2=False,
     ).start()
     for endpoint in fleet.topology().values():
@@ -73,7 +73,7 @@ def _start_cold_fleet(root, replicas):
 
 def test_bench_fleet_warm_burst(benchmark, tmp_path):
     fleet = Fleet(
-        str(tmp_path), 3, mode="process", workers=1
+        str(tmp_path), 3, workers=1
     ).start()
     try:
         prime = replay_frames(WARM_FRAMES, fleet.client, jobs=1)

@@ -157,16 +157,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    spec = workload(args.kernel)
     description = _machine_description(args)
     if description is None:
-        analysis = analyze_kernel(args.kernel)
+        analysis = analyze_kernel(spec)
     else:
         from .compiler import DEFAULT_OPTIONS
         from .machines import tuned_options
 
         print(f"machine: {description.name} ({description.summary()})")
         analysis = analyze_kernel(
-            args.kernel,
+            spec,
             options=tuned_options(
                 DEFAULT_OPTIONS, description.config
             ),
@@ -245,7 +246,7 @@ def _cmd_compile(args) -> int:
     options = DEFAULT_OPTIONS
     if args.strict:
         options = options.replace(verify=True)
-    compiled = compile_spec(kernel(args.kernel), options)
+    compiled = compile_spec(workload(args.kernel), options)
     print(format_program(compiled.program))
     for plan in compiled.loops:
         status = "vectorized" if plan.vectorized else (
@@ -388,7 +389,7 @@ def _cmd_run(args) -> int:
         from .machines import tuned_options
 
         options = tuned_options(options, config)
-    spec = kernel(args.kernel)
+    spec = workload(args.kernel)
     if args.lint:
         from .analysis import Severity
 
@@ -631,10 +632,8 @@ def _cmd_fleet(args) -> int:
         )
     with tempfile.TemporaryDirectory(prefix="macs-fleet-") as tmp:
         root = args.root if args.root is not None else tmp
-        fleet = Fleet(
-            root, args.replicas, mode=args.mode,
-            workers=args.workers,
-        ).start()
+        fleet = Fleet(root, args.replicas,
+                      workers=args.workers).start()
         try:
             report = traffic.replay_frames(
                 frames, fleet.client, jobs=args.jobs
@@ -956,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_replay_cmd = fleet_sub.add_parser(
         "replay",
-        help="spin up N replicas, replay a burst, and byte-compare "
+        help="start N serve replicas, replay a burst, and byte-compare "
         "every body against the serverless oracle",
     )
     fleet_replay_cmd.add_argument(
@@ -971,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_replay_cmd.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="concurrent client lanes (default 1)",
-    )
-    fleet_replay_cmd.add_argument(
-        "--mode", choices=("thread", "process"), default="thread",
-        help="replica isolation: in-process threads (default) or "
-        "real server subprocesses",
     )
     fleet_replay_cmd.add_argument(
         "--workers", type=int, default=1, metavar="N",

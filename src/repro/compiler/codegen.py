@@ -19,7 +19,7 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..errors import CompileError, VectorizationError
 from ..isa.builder import AsmBuilder
 from ..isa.operands import Immediate, MemRef
 from ..isa.program import Program
-from ..isa.registers import Register, VL, areg, sreg, vreg
+from ..isa.registers import Register, areg, sreg, vreg
 from ..lang.analysis import (
     LoopAnalysis,
     analyze_loop,
@@ -37,8 +37,6 @@ from ..lang.analysis import (
 from ..lang.ast import (
     ArrayRef,
     Assign,
-    Compare,
-    Const,
     Continue,
     Dimension,
     DoLoop,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import VectorizationError
-from ..lang.analysis import AccessFunction, LoopAnalysis, Reduction, StreamRef
+from ..lang.analysis import AccessFunction, LoopAnalysis, Reduction
 from ..lang.ast import (
     ArrayRef,
     Assign,

@@ -9,7 +9,7 @@ steady-state chime of ``VL + sum(B) = 132`` cycles.
 
 from __future__ import annotations
 
-from ..isa import AsmBuilder, Immediate, areg, sreg, vreg
+from ..isa import AsmBuilder, Immediate, areg, vreg
 from ..isa.timing import default_timing_table
 from ..machine import MachineConfig, Simulator, render_timeline
 from .formatting import ExperimentResult

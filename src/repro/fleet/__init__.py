@@ -18,8 +18,9 @@ Public surface:
   shared result tier;
 * :mod:`~repro.fleet.client` — :class:`FleetClient`, owner routing +
   failover over plain service connections;
-* :mod:`~repro.fleet.fabric` — :class:`Fleet`, replica lifecycle in
-  thread or process mode, with deterministic partition injection;
+* :mod:`~repro.fleet.fabric` — :class:`Fleet`, the lifecycle of N
+  ``serve`` replica processes, with deterministic partition (SIGKILL)
+  injection;
 * :mod:`~repro.fleet.replay` — the deterministic traffic-replay
   harness (Zipfian corpora, NDJSON recording, multi-lane replay, the
   byte-identity oracle).

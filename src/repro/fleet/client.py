@@ -36,7 +36,7 @@ Operational behavior:
 * **chaos** — before each send the ``fleet.replica`` fault site is
   checked with the target replica's name as the path; a matched
   ``io-error`` invokes the fabric's partitioner against that replica
-  (the mid-burst "kill" of the partition drill) and the normal
+  (the mid-burst SIGKILL of the partition drill) and the normal
   failover path serves the request from a successor.
 """
 

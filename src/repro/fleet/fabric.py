@@ -1,24 +1,18 @@
 """Fleet lifecycle: start, observe, partition, and stop N replicas.
 
-A :class:`Fleet` owns N :class:`~repro.service.server.AnalysisServer`
-replicas that share one L2 directory (:mod:`repro.fleet.store`) and
-serve disjoint shard arcs of the consistent-hash ring.  Two modes:
+A :class:`Fleet` owns N ``python -m repro serve`` subprocesses that
+share one L2 directory (:mod:`repro.fleet.store`) and serve disjoint
+shard arcs of the consistent-hash ring.  Each replica is its own
+interpreter, with its own memos and its own worker pool, so a body
+that is byte-identical across replicas was computed by separate
+processes.  :meth:`Fleet.start` launches every replica before it
+waits for any, so a fleet starts in about one interpreter start-up.
 
-* ``mode="thread"`` — each replica is a
-  :class:`~repro.service.server.ServerThread` inside this process.
-  Cheap and fast to spin up; the default for tests.  Partitioning a
-  replica calls :meth:`AnalysisServer.partition` *inside its own event
-  loop* (closing listeners and aborting live connections from another
-  thread would corrupt the loop's selector state).
-* ``mode="process"`` — each replica is a ``python -m repro serve``
-  subprocess.  Real process isolation and real parallelism (no shared
-  GIL); what the throughput benchmark and the CI fleet job use.
-  Partitioning is a SIGKILL; the replica's workers exit by themselves
-  once it is gone.
-
-Either way a partitioned replica stays *down* — recovery is a new
-replica joining the ring, not a resurrection — and the fleet's shared
-L2 keeps the replacement warm.
+Partitioning a replica is a SIGKILL: every live connection dies
+mid-request, and the replica's workers exit by themselves once it is
+gone.  A partitioned replica stays *down* — recovery is a new replica
+joining the ring, not a resurrection — and the fleet's shared L2 keeps
+the replacement warm.
 """
 
 from __future__ import annotations
@@ -27,58 +21,43 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 from ..errors import ExperimentError
 from ..resilience.retry import RetryPolicy
 from ..service.client import ServiceClient
-from ..service.server import ServiceConfig, ServerThread
 from .client import FleetClient
 from .ring import DEFAULT_VNODES
 
 
 class FleetReplica:
-    """One started replica and its handle."""
+    """One started replica: its ``serve`` process and endpoint."""
 
-    def __init__(self, name: str, endpoint: str, *,
-                 thread: ServerThread | None = None,
-                 process: "subprocess.Popen | None" = None):
+    def __init__(self, name: str, endpoint: str,
+                 process: subprocess.Popen):
         self.name = name
         self.endpoint = endpoint
-        self.thread = thread
         self.process = process
-        self.partitioned = False
 
     @property
     def alive(self) -> bool:
-        if self.partitioned:
-            return False
-        if self.process is not None:
-            return self.process.poll() is None
-        return self.thread is not None and \
-            self.thread.thread.is_alive()
+        return self.process.poll() is None
 
 
 class Fleet:
     """N replicas over one shared L2, ready for a FleetClient."""
 
     def __init__(self, root: str, replicas: int = 3, *,
-                 mode: str = "thread", workers: int = 1,
-                 queue_limit: int = 256, client_limit: int = 64,
-                 cache_max: int = 512, shared_l2: bool = True,
+                 workers: int = 1, queue_limit: int = 256,
+                 client_limit: int = 64, cache_max: int = 512,
+                 shared_l2: bool = True,
                  job_timeout_s: float | None = None):
         if replicas < 1:
             raise ExperimentError(
                 f"a fleet needs >= 1 replica, got {replicas}"
             )
-        if mode not in ("thread", "process"):
-            raise ExperimentError(
-                f"fleet mode must be thread|process, got {mode!r}"
-            )
         self.root = root
         self.count = replicas
-        self.mode = mode
         self.workers = workers
         self.queue_limit = queue_limit
         self.client_limit = client_limit
@@ -89,23 +68,9 @@ class Fleet:
 
     # -- lifecycle -----------------------------------------------------
 
-    def _socket_path(self, name: str) -> str:
-        return os.path.join(self.root, f"{name}.sock")
-
-    def _config(self, name: str) -> ServiceConfig:
-        return ServiceConfig(
-            socket_path=self._socket_path(name),
-            workers=self.workers,
-            queue_limit=self.queue_limit,
-            client_limit=self.client_limit,
-            cache_max=self.cache_max,
-            job_timeout_s=self.job_timeout_s,
-            shard_id=name,
-            l2_path=self.l2_root,
-        )
-
-    def _spawn_process(self, name: str) -> FleetReplica:
-        socket_path = self._socket_path(name)
+    def _spawn(self, name: str) -> FleetReplica:
+        """Launch one replica; it is ready once it announces."""
+        socket_path = os.path.join(self.root, f"{name}.sock")
         command = [
             sys.executable, "-m", "repro", "serve",
             "--socket", socket_path,
@@ -133,16 +98,7 @@ class Fleet:
             command, stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, env=env, text=True,
         )
-        # The serve announce line ("listening on unix:...") is the
-        # readiness signal.
-        line = process.stdout.readline() if process.stdout else ""
-        if "listening on" not in line:
-            process.kill()
-            raise ExperimentError(
-                f"replica {name} failed to start: {line.strip()!r}"
-            )
-        return FleetReplica(name, f"unix:{socket_path}",
-                            process=process)
+        return FleetReplica(name, f"unix:{socket_path}", process)
 
     def start(self) -> "Fleet":
         os.makedirs(self.root, exist_ok=True)
@@ -150,36 +106,37 @@ class Fleet:
             os.makedirs(self.l2_root, exist_ok=True)
         for index in range(self.count):
             name = f"replica-{index}"
-            if self.mode == "thread":
-                handle = ServerThread(self._config(name)).start()
-                replica = FleetReplica(
-                    name, handle.endpoints[0], thread=handle
-                )
-            else:
-                replica = self._spawn_process(name)
-            self.replicas[name] = replica
+            self.replicas[name] = self._spawn(name)
+        try:
+            for replica in self.replicas.values():
+                # The serve announce line ("listening on unix:...") is
+                # the readiness signal.
+                line = replica.process.stdout.readline()
+                if "listening on" not in line:
+                    raise ExperimentError(
+                        f"replica {replica.name} failed to start: "
+                        f"{line.strip()!r}"
+                    )
+        except BaseException:
+            self.stop()
+            raise
         return self
 
     def stop(self) -> None:
+        """Drain every replica (SIGTERM) and wait for it to exit; one
+        still running after 30 s is killed."""
         for replica in self.replicas.values():
-            if replica.process is not None:
-                if replica.process.poll() is None:
-                    replica.process.send_signal(signal.SIGTERM)
-            elif replica.thread is not None:
-                # Partitioned replicas are already winding down
-                # (partition() sets draining); stop() just joins.
-                replica.thread.stop()
+            if replica.process.poll() is None:
+                replica.process.send_signal(signal.SIGTERM)
         deadline = time.monotonic() + 30.0
         for replica in self.replicas.values():
-            if replica.process is not None:
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    replica.process.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    replica.process.kill()
-                    replica.process.wait(timeout=5.0)
-                if replica.process.stdout is not None:
-                    replica.process.stdout.close()
+            remaining = max(0.1, deadline - time.monotonic())
+            try:
+                replica.process.wait(timeout=remaining)
+            except subprocess.TimeoutExpired:
+                replica.process.kill()
+                replica.process.wait(timeout=5.0)
+            replica.process.stdout.close()
 
     def __enter__(self) -> "Fleet":
         return self.start() if not self.replicas else self
@@ -209,42 +166,14 @@ class Fleet:
     # -- failure injection and observability ---------------------------
 
     def partition(self, name: str) -> None:
-        """Kill/partition one replica (idempotent).
-
-        Thread mode schedules :meth:`AnalysisServer.partition` on the
-        replica's own event loop; process mode delivers SIGKILL.  In
-        both cases every live connection dies abruptly — clients see
-        a mid-request failure, not a graceful drain.
-        """
+        """SIGKILL one replica (idempotent).  Every live connection dies
+        abruptly: its clients see a mid-request failure, not a graceful
+        drain."""
         replica = self.replicas.get(name)
         if replica is None:
             raise ExperimentError(f"no replica named {name!r}")
-        if replica.partitioned:
-            return
-        replica.partitioned = True
-        if replica.process is not None:
-            if replica.process.poll() is None:
-                replica.process.kill()
-                replica.process.wait(timeout=10.0)
-        elif replica.thread is not None:
-            handle = replica.thread
-            if handle.loop is not None and handle.server is not None:
-                # Synchronous: when this returns, the listeners are
-                # closed and every connection is aborted — the next
-                # request deterministically fails over.
-                done = threading.Event()
-
-                def _sever() -> None:
-                    try:
-                        handle.server.partition()
-                    finally:
-                        done.set()
-
-                try:
-                    handle.loop.call_soon_threadsafe(_sever)
-                except RuntimeError:
-                    return  # loop already gone: already dead enough
-                done.wait(timeout=10.0)
+        replica.process.kill()  # a no-op once the process has exited
+        replica.process.wait(timeout=10.0)
 
     def metrics(self, name: str) -> dict:
         """One replica's metrics snapshot (fresh connection)."""

@@ -24,7 +24,7 @@ from ..errors import IsaError
 from .instructions import Instruction
 from .operands import Immediate, LabelRef, MemRef, Operand, WORD_BYTES
 from .program import DataLayout, DataSymbol, Program
-from .registers import Register, VL, areg, sreg, vreg
+from .registers import Register, VL
 
 
 class AsmBuilder:

@@ -25,10 +25,10 @@ operand, written last (``st.l v0,24024(a5)``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..errors import OperandError, UnknownOpcodeError
-from .operands import Immediate, LabelRef, MemRef, Operand
+from .operands import LabelRef, MemRef, Operand
 from .registers import Register
 
 

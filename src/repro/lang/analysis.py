@@ -31,7 +31,6 @@ from .ast import (
     Continue,
     DoLoop,
     Expr,
-    Stmt,
     UnaryOp,
     VarRef,
     walk_exprs,

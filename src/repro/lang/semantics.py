@@ -16,7 +16,6 @@ from ..errors import SemanticError
 from .ast import (
     ArrayRef,
     Assign,
-    Compare,
     Dimension,
     DoLoop,
     Expr,

@@ -26,7 +26,6 @@ from ..machine.config import DEFAULT_CONFIG, MachineConfig
 from ..machine.memory import MemorySystem
 from ..schedule.chimes import (
     REFRESH_FACTOR,
-    REFRESH_RUN_LENGTH,
     ChimeRules,
     DEFAULT_RULES,
     partition_chimes,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from ..compiler import CompiledKernel, LoopPlan
 from ..errors import ModelError
 from ..isa.timing import TimingTable, default_timing_table
-from ..lang.ast import Assign, Continue, DoLoop, IfGoto, Stmt
+from ..lang.ast import Assign, DoLoop, IfGoto, Stmt
 from ..schedule.chimes import ChimePartition, ChimeRules, DEFAULT_RULES, partition_chimes
 from .macs import inner_loop_body
 

@@ -16,12 +16,11 @@ schedule explains (MAC→MACS), and what remains unmodeled
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..compiler import CompiledKernel, CompilerOptions, DEFAULT_OPTIONS
 from ..errors import ModelError
 from ..isa.timing import TimingTable
-from ..lang.analysis import analyze_loop, collect_integer_constants
 from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..schedule.chimes import ChimeRules, refresh_factor_for
 from ..units import harmonic_mean_mflops, percent_of_bound
@@ -29,7 +28,7 @@ from ..workloads.lfk import KernelSpec, kernel
 from ..workloads.runner import compile_spec, run_kernel
 from .ax import AXMeasurement, measure_ax
 from .bounds import BoundsRow, ma_bound, mac_bound
-from .counts import OperationCounts, ma_counts, mac_counts
+from .counts import ma_counts, mac_counts
 from .macs import MacsBound, inner_loop_body, macs_bound, macs_f_bound, macs_m_bound
 
 

@@ -5,9 +5,9 @@ socket.  It supports **pipelining**: :meth:`request_many` writes every
 request before reading any response, correlates out-of-order responses
 by ``id``, and returns them in request order — the shape the
 single-flight and admission tests (and the CI service job) rely on.
-A process that holds a client may also fork service workers (a test,
-a benchmark, a thread-mode fleet); each worker points its copy of the
-client's socket at ``/dev/null`` when it starts
+A process that holds a client may also fork service workers (a test
+or a benchmark that runs a server in-process); each worker points its
+copy of the client's socket at ``/dev/null`` when it starts
 (:mod:`repro.sweep.pool`), so the client's ``close()`` still reaches
 the server as EOF.
 

@@ -57,7 +57,8 @@ start in one place, the pool's worker initializer
 (:mod:`repro.sweep.pool`).  It points every inherited socket (the
 listeners, every connection, asyncio's self-pipe) at ``/dev/null`` and
 unhooks the signal wakeup, so a worker never holds a connection open
-and a signal sent to it never drains the server.  The armed chaos
+and a signal sent to it never drains the server; a SIGTERM ends just
+that worker, which the pool replaces.  The armed chaos
 plan, the telemetry collector and every memo (the L1 included) are
 dropped by their own modules' fork hooks.  A worker exits by itself
 once the server is gone.
@@ -71,6 +72,7 @@ import signal
 import threading
 import time
 from collections.abc import Coroutine
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..errors import ExperimentError
@@ -175,8 +177,13 @@ class AnalysisServer:
             retry=RetryPolicy(retries=config.retries),
             name="service",
         )
+        #: the threads that wait on pool jobs, one per admitted leader,
+        #: so the pool's ``workers`` is the only bound on jobs running
+        self._job_threads = ThreadPoolExecutor(
+            max_workers=config.queue_limit,
+            thread_name_prefix="service-job",
+        )
         self.draining = False
-        self._partitioned = False
         self.endpoints: list[str] = []
         self._servers: list[asyncio.AbstractServer] = []
         self._writers: set[asyncio.StreamWriter] = set()
@@ -207,34 +214,6 @@ class AnalysisServer:
             for sock in server.sockets:
                 host, port = sock.getsockname()[:2]
                 self.endpoints.append(f"tcp:{host}:{port}")
-
-    def partition(self) -> None:
-        """Abruptly sever this replica from the network (chaos drill).
-
-        Unlike a graceful drain, every live connection is **aborted**
-        mid-whatever (RST, not FIN-after-response) and the listeners
-        close immediately — exactly what a killed or partitioned
-        replica looks like to its clients.  Must run on this server's
-        own event loop (schedule via ``loop.call_soon_threadsafe``
-        from other threads): transports are not thread-safe.
-
-        Internally the replica still winds down cleanly afterwards —
-        in-flight computations finish into the caches and the worker
-        pool is shut down by ``wait_drained`` — so a partitioned
-        thread-mode replica never leaks worker processes.
-        """
-        self.draining = True
-        self._partitioned = True
-        for server in self._servers:
-            server.close()
-        for writer in list(self._writers):
-            transport = writer.transport
-            if transport is not None:
-                try:
-                    transport.abort()
-                except Exception:
-                    pass
-        self._maybe_set_drained()
 
     def request_drain(self) -> None:
         """Begin a graceful drain (signal handler / drain request)."""
@@ -279,6 +258,7 @@ class AnalysisServer:
             await asyncio.wait(pending, timeout=5.0)
         stragglers = any(not task.done() for task in self._flights)
         self.pool.shutdown(kill=stragglers)
+        self._job_threads.shutdown()
         if self.config.socket_path is not None:
             try:
                 os.unlink(self.config.socket_path)
@@ -293,11 +273,6 @@ class AnalysisServer:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        if self._partitioned:
-            # Accepted before the listeners closed, but started after
-            # partition(): a severed replica serves no one.
-            writer.transport.abort()
-            return
         spec = _faults.check("service.accept")
         if spec is not None and spec.kind == "io-error":
             # An accept-path fault: this connection is dropped, the
@@ -582,8 +557,8 @@ class AnalysisServer:
         The flight resolves to the body's canonical bytes, or to the
         job's error payload."""
         try:
-            payload = await asyncio.to_thread(
-                self._run_job, request, key
+            payload = await asyncio.get_running_loop().run_in_executor(
+                self._job_threads, self._run_job, request, key
             )
         except BaseException as exc:
             self.singleflight.finish(key, error=exc)

@@ -25,15 +25,15 @@ supervises it:
 * a worker starts in one place, :func:`_start_worker`.  It drops
   what the fork handed it of the parent's sockets and signals: a
   signal sent to the worker never wakes the parent's event loop
-  (where a SIGTERM would drain a ``serve`` replica), and no inherited
-  socket stays open in it (a worker holding a copy of a connection
-  hides the peer's hangup from the server).  The memo, telemetry and
-  chaos-plan modules drop their own state in their at-fork hooks;
+  (where a SIGTERM would drain a ``serve`` replica), a SIGTERM ends
+  the worker (the pool then restarts it), and no inherited socket
+  stays open in it (a worker holding a copy of a connection hides the
+  peer's hangup from the server).  The memo, telemetry and chaos-plan
+  modules drop their own state in their at-fork hooks;
 * a worker whose parent dies exits by itself within about a second.
   Nothing else ends it: it waits on a call queue whose write end it
-  holds itself, and one forked from ``serve`` inherits the server's
-  no-op SIGTERM handler, so a replica or sweep that dies by SIGKILL
-  would leave its workers running until they too were SIGKILLed.
+  holds itself, so a replica or sweep that dies by SIGKILL would
+  leave its workers running until they too were killed.
 
 Job functions must be picklable module-level callables; they receive
 their arguments plus an ``attempt`` keyword (1-based), which is how
@@ -71,15 +71,19 @@ def _start_worker(parent: int) -> None:
     then ``os._exit`` once ``parent`` is gone (the worker is
     re-parented).
 
-    A signal sent to the worker never wakes the parent's event loop, and
-    every inherited socket above fd 2 is pointed at ``/dev/null``: a
-    worker holding a copy of a connection keeps it half-open, so its
-    peer's ``close()`` never reaches the server as EOF.  ``dup2`` rather
+    A signal sent to the worker never wakes the parent's event loop, a
+    SIGTERM ends it (one forked from ``serve`` would otherwise keep the
+    server's no-op handler; SIGINT keeps it, so a Ctrl-C to the process
+    group drains through the server), and every inherited socket above
+    fd 2 is pointed at ``/dev/null``: a worker holding a copy of a
+    connection keeps it half-open, so its peer's ``close()`` never
+    reaches the server as EOF.  ``dup2`` rather
     than ``close`` keeps each number taken, so a stale socket object
     finalized later in the worker closes ``/dev/null``, never a file the
     job opened.  Fds 0-2 stay: under systemd they are journald sockets.
     """
     signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     devnull = os.open(os.devnull, os.O_RDWR)
     for name in os.listdir("/dev/fd"):
         fd = int(name)

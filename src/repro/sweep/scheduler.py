@@ -331,8 +331,23 @@ def run_sweep(
                     "worker process, and a jobs=1 sweep runs its "
                     "cells inline; use --jobs 2"
                 )
+    # The sweep's collector is the active one while the grid runs, so a
+    # chaos fault that fires outside a cell (a checkpoint append, a
+    # trace write) reaches the sweep's trace as ``fault_injected``.
+    with tele.collecting(trace) as telemetry:
+        return _run_grid(
+            tasks, grid_size, telemetry, plan, faults, jobs=jobs,
+            timeout=timeout, policy=policy, deadline_s=deadline_s,
+            checkpoint=checkpoint,
+        )
 
-    telemetry = tele.Telemetry(trace)
+
+def _run_grid(tasks: list[SweepTask], grid_size: int,
+              telemetry: tele.Telemetry, plan, faults: dict, *,
+              jobs: int, timeout: float | None, policy: RetryPolicy,
+              deadline_s: float | None,
+              checkpoint: str | None) -> SweepResult:
+    """Run the expanded grid, tracing into ``telemetry``."""
     deadline = Deadline(deadline_s)
     wall0 = time.perf_counter()
     telemetry.emit(
@@ -541,7 +556,6 @@ def run_sweep(
         failed=len(outcomes) - ok,
     )
     telemetry.flush(fsync=True)
-    telemetry.close()
     ordered = [outcomes[i] for i in sorted(outcomes)]
     return SweepResult(
         outcomes=ordered, telemetry=telemetry, jobs=jobs,

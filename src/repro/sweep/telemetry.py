@@ -47,7 +47,7 @@ import os
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..resilience import faults as _faults
 from ..resilience.store import DurableLog
@@ -79,6 +79,7 @@ class Telemetry:
         self._trace_log: DurableLog | None = None
         #: set to the failure message if file output had to be dropped
         self.degraded: str | None = None
+        self._checking = False
         if trace_path is not None:
             # Append: one CLI invocation may run several sweeps (e.g.
             # the five ablations) into one trace.  Callers that want a
@@ -98,28 +99,35 @@ class Telemetry:
                   "t": round(time.monotonic() - self._t0, 6)}
         record.update(fields)
         self.events.append(record)
-        if self._trace_log is not None:
+        if self._trace_log is None or self._checking:
+            return
+        # A trace.write fault emits ``fault_injected`` back into this
+        # collector during the check; that event stays in memory.
+        self._checking = True
+        try:
             spec = _faults.check("trace.write",
                                  path=self._trace_path or "")
-            try:
-                if spec is not None and spec.kind == "io-error":
-                    raise OSError(
-                        f"injected I/O error: trace write to "
-                        f"{self._trace_path}"
-                    )
-                self._trace_log.append(record)
-            except OSError as exc:
-                # Degrade, don't die: the trace is observability, not
-                # the result.  Keep collecting in memory and remember
-                # why the file went quiet.
-                self.degraded = f"{type(exc).__name__}: {exc}"
-                self._trace_log.detach()
-                self._trace_log = None
-                self.events.append({
-                    "event": "trace_degraded",
-                    "t": round(time.monotonic() - self._t0, 6),
-                    "error": self.degraded,
-                })
+        finally:
+            self._checking = False
+        try:
+            if spec is not None and spec.kind == "io-error":
+                raise OSError(
+                    f"injected I/O error: trace write to "
+                    f"{self._trace_path}"
+                )
+            self._trace_log.append(record)
+        except OSError as exc:
+            # Degrade, don't die: the trace is observability, not the
+            # result.  Keep collecting in memory and remember why the
+            # file went quiet.
+            self.degraded = f"{type(exc).__name__}: {exc}"
+            self._trace_log.detach()
+            self._trace_log = None
+            self.events.append({
+                "event": "trace_degraded",
+                "t": round(time.monotonic() - self._t0, 6),
+                "error": self.degraded,
+            })
 
     def flush(self, fsync: bool = False) -> None:
         """Stage-boundary flush (optionally fsync) of the trace file."""

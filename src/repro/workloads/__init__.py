@@ -30,7 +30,7 @@ from .lfk import (
 from .extra import EXCLUDED_KERNELS, LFK5, LFK11
 from .generator import GeneratedLoop, generate_loop
 from .runner import KernelRun, clear_caches, compile_spec, prepare_simulator, run_kernel
-from .stencils import DAXPY, HEAT1D, SDOT_LONG, STENCIL_KERNELS, TRIDIAG_RHS, WAVE1D
+from .stencils import STENCIL_KERNELS
 
 #: Every named workload: the ten case-study kernels, the two excluded
 #: LFK kernels, and the extra stencil/BLAS loops.

@@ -28,7 +28,7 @@ Layout notes (documented substitutions):
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

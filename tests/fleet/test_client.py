@@ -88,7 +88,7 @@ class TestDeadFleet:
 @pytest.fixture(scope="module")
 def fleet(tmp_path_factory):
     root = tmp_path_factory.mktemp("fleet-client")
-    fleet = Fleet(str(root), 3, mode="thread").start()
+    fleet = Fleet(str(root), 3).start()
     yield fleet
     fleet.stop()
 
@@ -137,7 +137,7 @@ class TestLiveFleet:
 
 class TestFailover:
     def test_killed_owner_fails_over_byte_identically(self, tmp_path):
-        fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 3).start()
         try:
             with fleet.client(
                 retry=RetryPolicy.immediate(retries=2)
@@ -157,7 +157,7 @@ class TestFailover:
 
     def test_failover_promotes_the_shared_l2(self, tmp_path):
         """The successor serves a killed owner's keys from L2."""
-        fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 3).start()
         try:
             with fleet.client(
                 retry=RetryPolicy.immediate(retries=2)
@@ -185,7 +185,7 @@ class TestFailover:
     def test_draining_replica_keys_come_from_a_successor(self, tmp_path):
         """A draining replica refuses its uncached keys as
         ``unavailable``; the client serves them from a successor."""
-        fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 3).start()
         try:
             with fleet.client(
                 retry=RetryPolicy.immediate(retries=2)

@@ -1,4 +1,7 @@
-"""Fleet lifecycle tests: thread and process modes, partition."""
+"""Fleet lifecycle tests: ``serve`` replicas, the shared L2, partition.
+
+The class names predate the fleet's single replica kind; every fleet
+here runs its replicas as ``serve`` subprocesses."""
 
 import os
 
@@ -11,7 +14,7 @@ from repro.service.client import ServiceClient, offline_response
 
 class TestThreadMode:
     def test_start_topology_stop(self, tmp_path):
-        fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 3).start()
         try:
             topology = fleet.topology()
             assert sorted(topology) == [
@@ -28,7 +31,7 @@ class TestThreadMode:
             fleet.stop()
 
     def test_replicas_share_one_l2(self, tmp_path):
-        fleet = Fleet(str(tmp_path), 2, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 2).start()
         try:
             assert fleet.l2_root is not None
             topology = fleet.topology()
@@ -50,7 +53,7 @@ class TestThreadMode:
             fleet.stop()
 
     def test_partition_is_abrupt_and_idempotent(self, tmp_path):
-        fleet = Fleet(str(tmp_path), 2, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 2).start()
         try:
             endpoint = fleet.topology()["replica-0"]
             conn = ServiceClient(endpoint, timeout=5.0).connect()
@@ -69,7 +72,7 @@ class TestThreadMode:
             fleet.stop()
 
     def test_partition_unknown_replica_is_an_error(self, tmp_path):
-        fleet = Fleet(str(tmp_path), 1, mode="thread").start()
+        fleet = Fleet(str(tmp_path), 1).start()
         try:
             with pytest.raises(ExperimentError):
                 fleet.partition("replica-99")
@@ -79,12 +82,13 @@ class TestThreadMode:
     def test_validates_arguments(self, tmp_path):
         with pytest.raises(ExperimentError):
             Fleet(str(tmp_path), 0)
-        with pytest.raises(ExperimentError):
-            Fleet(str(tmp_path), 1, mode="container")
+        # Every replica is a serve process: there is no mode to pick.
+        with pytest.raises(TypeError):
+            Fleet(str(tmp_path), 1, mode="thread")
 
     def test_no_shared_l2_is_allowed(self, tmp_path):
         fleet = Fleet(
-            str(tmp_path), 1, mode="thread", shared_l2=False
+            str(tmp_path), 1, shared_l2=False
         ).start()
         try:
             assert fleet.l2_root is None
@@ -99,7 +103,7 @@ class TestThreadMode:
 class TestProcessMode:
     def test_subprocess_replica_serves_byte_identically(
             self, tmp_path):
-        fleet = Fleet(str(tmp_path), 1, mode="process").start()
+        fleet = Fleet(str(tmp_path), 1).start()
         try:
             replica = fleet.replicas["replica-0"]
             assert replica.process is not None
@@ -121,7 +125,7 @@ class TestProcessMode:
 
     def test_subprocess_replica_gets_the_fleet_settings(self, tmp_path):
         fleet = Fleet(
-            str(tmp_path), 1, mode="process", cache_max=7,
+            str(tmp_path), 1, cache_max=7,
             job_timeout_s=30.0,
         ).start()
         try:

@@ -50,7 +50,7 @@ def test_drill_plan_validates():
 
 def test_mid_burst_kill_stays_byte_identical(tmp_path, frames,
                                              oracle):
-    fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+    fleet = Fleet(str(tmp_path), 3).start()
     try:
         def client():
             return fleet.client(
@@ -76,7 +76,7 @@ def test_mid_burst_kill_stays_byte_identical(tmp_path, frames,
 
 def test_kill_during_concurrent_lanes(tmp_path, frames, oracle):
     """The drill holds under multi-lane replay too."""
-    fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+    fleet = Fleet(str(tmp_path), 3).start()
     try:
         def client():
             return fleet.client(
@@ -96,7 +96,7 @@ def test_survivors_absorb_the_victims_shard(tmp_path, frames,
                                             oracle):
     """After the kill, the victim's keys are served by survivors
     (warm from the shared L2 where the victim published them)."""
-    fleet = Fleet(str(tmp_path), 3, mode="thread").start()
+    fleet = Fleet(str(tmp_path), 3).start()
     try:
         warm = replay_frames(
             frames, lambda: fleet.client(

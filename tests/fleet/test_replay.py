@@ -228,7 +228,7 @@ class TestRecordedGate:
     def test_recorded_burst_replays_byte_identically(
             self, tmp_path_factory, frames, oracle):
         root = tmp_path_factory.mktemp("fleet-gate")
-        fleet = Fleet(str(root), 3, mode="thread").start()
+        fleet = Fleet(str(root), 3).start()
         try:
             serial = replay_frames(frames, fleet.client, jobs=1)
             fanned = replay_frames(frames, fleet.client, jobs=4)

@@ -38,7 +38,7 @@ def _running(pid: int, root: str) -> bool:
 
 def test_partitioned_replica_leaves_no_worker(tmp_path):
     root = str(tmp_path)
-    fleet = Fleet(root, 1, mode="process").start()
+    fleet = Fleet(root, 1).start()
     workers: list[int] = []
     try:
         replica = fleet.replicas["replica-0"]

@@ -6,7 +6,7 @@ import pytest
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec, chaos
 from repro.resilience.store import verify_log
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import SweepSpec, read_trace, run_sweep, summarize_trace
 from repro.sweep.spec import OPTION_VARIANTS
 
 
@@ -84,8 +84,32 @@ class TestTraceFaults:
             result = run_sweep(GRID, jobs=1, trace=str(trace))
         assert result.results_jsonl() == baseline
         assert result.telemetry.degraded is not None
-        assert any(e["event"] == "trace_degraded"
-                   for e in result.telemetry.events)
+        events = [e["event"] for e in result.telemetry.events]
+        assert events.count("trace_degraded") == 1
+        # The fault fires on every write, yet its own event is not a
+        # write that fires it again.
+        assert events.count("fault_injected") == 1
+
+    def test_fired_fault_reaches_the_sweep_trace(self, tmp_path,
+                                                 baseline):
+        ckpt = tmp_path / "sweep.ckpt"
+        trace = tmp_path / "trace.jsonl"
+        plan = FaultPlan(faults=(
+            FaultSpec(site="store.append", kind="io-error",
+                      path="sweep.ckpt", after=1, count=1),
+        ))
+        with chaos(plan):
+            result = run_sweep(GRID, jobs=1, checkpoint=str(ckpt),
+                               trace=str(trace))
+        assert result.results_jsonl() == baseline
+        events = read_trace(str(trace))
+        fired = [(e["site"], e["kind"], e["path"]) for e in events
+                 if e["event"] == "fault_injected"]
+        assert fired == [("store.append", "io-error", str(ckpt))]
+        names = [e["event"] for e in events]
+        assert names.index("fault_injected") < \
+            names.index("checkpoint_degraded")
+        assert "faults injected" in summarize_trace(str(trace))
 
 
 class TestWorkerFaults:

@@ -5,7 +5,6 @@ behaviors that need special limits (admission, deadlines, drain) spin
 up their own short-lived instances.
 """
 
-import asyncio
 import os
 import signal
 import socket
@@ -25,10 +24,9 @@ from repro.service.client import (
     offline_response,
     parse_endpoint,
 )
-from repro.service.server import AnalysisServer
-from repro.workloads import clear_caches
+from repro.workloads import clear_caches, workload_names
 
-from ..fleet.test_worker_orphans import _children
+from ..fleet.test_worker_orphans import _children, _running
 from .test_protocol import NON_OBJECTS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -58,8 +56,6 @@ class TestEndpoints:
             ("tcp", ("127.0.0.1", 80))
         assert parse_endpoint("127.0.0.1:80") == \
             ("tcp", ("127.0.0.1", 80))
-        from repro.errors import ExperimentError
-
         with pytest.raises(ExperimentError):
             parse_endpoint("nonsense")
 
@@ -300,6 +296,46 @@ class TestAdmissionOverWire:
             thread.stop()
 
 
+class TestPoolConcurrency:
+    def test_eight_workers_run_eight_jobs_at_once(self):
+        """Every admitted leader waits on its job in a thread the
+        server owns, so the pool's ``workers`` is the only bound on
+        jobs running.  asyncio's default executor, with min(32,
+        CPUs + 4) threads, would hold eight workers to six jobs on two
+        CPUs."""
+        workers = 8
+        thread = start_in_thread(ServiceConfig(
+            host="127.0.0.1", workers=workers, client_limit=workers,
+        ))
+        pool = thread.server.pool
+        hang = {"kind": "hang", "attempts": 1}
+        frames = [("bound", {"kernel": name, "_inject": hang})
+                  for name in workload_names()[:workers]]
+        replies = []
+        try:
+            with ServiceClient(thread.endpoints[0],
+                               timeout=60.0) as active:
+                sender = threading.Thread(
+                    target=lambda: replies.extend(
+                        active.request_many(frames)
+                    )
+                )
+                sender.start()
+                peak = 0
+                deadline = time.monotonic() + 15.0
+                while peak < workers and time.monotonic() < deadline:
+                    peak = max(peak, pool._running)
+                    time.sleep(0.01)
+                # Kill the hung jobs: each request gets an error reply.
+                pool.shutdown(kill=True)
+                sender.join(timeout=30.0)
+            assert not sender.is_alive()
+            assert peak == workers
+            assert [r.status for r in replies] == ["error"] * workers
+        finally:
+            thread.stop()
+
+
 class TestDeadlines:
     def test_expired_deadline_is_a_typed_budget_error(self):
         thread = start_in_thread(
@@ -397,6 +433,9 @@ class TestForkHygiene:
                 assert active.healthz()["status"] == "ok"
                 again = active.request("bound", {"kernel": "lfk2"})
                 assert again.ok and again.origin == "computed"
+                # The signal ended the worker; the pool started another.
+                assert not _running(workers[0], sock)
+                assert active.metrics()["worker_restarts"] >= 1
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
@@ -435,46 +474,3 @@ class TestDrain:
         thread.stop()
         assert not thread.thread.is_alive()
         assert not os.path.exists(sock)
-
-
-class TestPartition:
-    def test_handler_started_after_partition_is_aborted(self, tmp_path):
-        """A connection accepted before partition() closed the
-        listener, whose handler only starts afterwards, is aborted
-        rather than served by the severed replica."""
-        server = AnalysisServer(ServiceConfig(
-            socket_path=str(tmp_path / "part.sock"), workers=1
-        ))
-        handle_client = server._handle_client
-
-        async def handle_after_partition(reader, writer):
-            server.partition()
-            await handle_client(reader, writer)
-
-        server._handle_client = handle_after_partition
-        ready = threading.Event()
-        running = {}
-
-        async def main():
-            running["loop"] = asyncio.get_running_loop()
-            running["release"] = asyncio.Event()
-            await server.start()
-            ready.set()
-            await running["release"].wait()
-            await server.wait_drained()
-
-        thread = threading.Thread(target=asyncio.run, args=(main(),))
-        thread.start()
-        try:
-            assert ready.wait(timeout=10.0)
-            conn = ServiceClient(server.endpoints[0], timeout=10.0)
-            conn.connect()
-            try:
-                with pytest.raises(ExperimentError):
-                    conn.ping()
-            finally:
-                conn.close()
-        finally:
-            running["loop"].call_soon_threadsafe(running["release"].set)
-            thread.join(timeout=30.0)
-        assert not thread.is_alive()

@@ -57,8 +57,22 @@ class TestCommands:
         assert main(["experiment", "bogus"]) == 2
 
     def test_unknown_kernel_reports_error(self, capsys):
-        assert main(["run", "lfk5"]) == 3
+        assert main(["run", "lfk13"]) == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["run", "daxpy"], 0, "kernel          : daxpy"),
+        (["compile", "lfk5"], 0, "loop over i: scalar fallback"),
+        (["analyze", "heat1d"], 0, "MACS hierarchy for HEAT1D"),
+        # A known workload with no vector loop to bound: the typed
+        # error that `request analyze --offline` gives.
+        (["analyze", "lfk5"], 3, "kernel 'lfk5' has no vectorized loop"),
+    ], ids=["run-daxpy", "compile-lfk5", "analyze-heat1d", "analyze-lfk5"])
+    def test_commands_know_every_workload(self, argv, code, text,
+                                          capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
