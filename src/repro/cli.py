@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    macs-repro list                      # available experiments/kernels
+    macs-repro list                      # experiments and workloads
     macs-repro experiment table4         # regenerate one paper artifact
     macs-repro experiment all            # regenerate everything
     macs-repro analyze lfk1              # MACS hierarchy for one kernel
@@ -53,10 +53,9 @@ from .isa.printer import format_program
 from .machine import DEFAULT_CONFIG
 from .model import analyze_kernel, macs_bound
 from .workloads import (
+    ALL_WORKLOADS,
     clear_caches,
     compile_spec,
-    kernel,
-    kernel_names,
     run_kernel,
     workload,
     workload_names,
@@ -88,10 +87,9 @@ def _cmd_list(_args) -> int:
     print("experiments:")
     for name in EXPERIMENTS:
         print(f"  {name}")
-    print("kernels:")
-    for name in kernel_names():
-        spec = kernel(name)
-        print(f"  {name}: {spec.title}")
+    print("workloads:")
+    for spec in ALL_WORKLOADS:
+        print(f"  {spec.name}: {spec.title}")
     return 0
 
 
@@ -303,7 +301,7 @@ def _cmd_fsck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .compiler.options import parse_options_string
-    from .sweep import OPTION_VARIANTS, SweepSpec, run_sweep, summarize_trace
+    from .sweep import OPTION_VARIANTS, SweepSpec, run_sweep
 
     if args.options is not None and args.variants != "all":
         print(
@@ -362,14 +360,11 @@ def _cmd_sweep(args) -> int:
 
         atomic_write_text(args.out, result.results_jsonl())
         print(f"wrote {args.out}")
-    # The operator summary is computed from the emitted JSONL trace
-    # (read back from disk when --trace was given); it carries timing,
-    # so it goes to stderr and stdout stays deterministic.
-    summary = (
-        summarize_trace(args.trace) if args.trace
-        else result.summary()
-    )
-    print(summary, file=sys.stderr)
+    # The operator summary is computed from this sweep's trace events,
+    # held in memory, so neither a degraded --trace file nor an earlier
+    # sweep's events in it change the counts; it carries timing, so it
+    # goes to stderr and stdout stays deterministic.
+    print(result.summary(), file=sys.stderr)
     # Deterministic per-cell errors (e.g. a variant that cannot
     # compile a kernel) are reported as results; only infrastructure
     # failures (crashes/timeouts past the retry budget, blown sweep
@@ -469,7 +464,7 @@ def _cmd_serve(args) -> int:
         for endpoint in server.endpoints:
             print(f"listening on {endpoint}", flush=True)
 
-    return serve(config, announce=announce)
+    return serve(config, ready=announce)
 
 
 def _cmd_request(args) -> int:

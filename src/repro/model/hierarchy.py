@@ -24,8 +24,8 @@ from ..isa.timing import TimingTable
 from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..schedule.chimes import ChimeRules, refresh_factor_for
 from ..units import harmonic_mean_mflops, percent_of_bound
-from ..workloads.lfk import KernelSpec, kernel
-from ..workloads.runner import compile_spec, run_kernel
+from ..workloads.lfk import KernelSpec
+from ..workloads.runner import compile_spec, resolve_spec, run_kernel
 from .ax import AXMeasurement, measure_ax
 from .bounds import BoundsRow, ma_bound, mac_bound
 from .counts import ma_counts, mac_counts
@@ -208,11 +208,7 @@ def analyze_kernel(
     by construction (one element per clock); machine specificity
     enters the hierarchy at the S level, exactly as in the paper.
     """
-    spec = (
-        spec_or_name
-        if isinstance(spec_or_name, KernelSpec)
-        else kernel(spec_or_name)
-    )
+    spec = resolve_spec(spec_or_name)
     if n is not None and n != int(spec.scalar_inputs["n"]):
         raise ModelError(
             f"{spec.name} uses the standard size n="

@@ -31,7 +31,13 @@ from ..compiler import CompilerOptions, DEFAULT_OPTIONS
 from ..machine import DEFAULT_CONFIG, MachineConfig
 from ..memo import Memo
 from ..workloads.lfk import KernelSpec
-from ..workloads.runner import KernelRun, _spec_key, run_kernel, sized_spec
+from ..workloads.runner import (
+    KernelRun,
+    _spec_key,
+    resolve_spec,
+    run_kernel,
+    sized_spec,
+)
 from .advisor import Advice, advise
 from .hierarchy import KernelAnalysis, analyze_kernel
 
@@ -132,15 +138,7 @@ def predict_kernel(
     reuses this simulation, and this call reuses theirs.  Memoized on
     the same key — repeated service requests are dictionary lookups.
     """
-    from ..workloads import workload
-
-    spec = (
-        spec_or_name
-        if isinstance(spec_or_name, KernelSpec)
-        else workload(str(spec_or_name))
-        if isinstance(spec_or_name, str)
-        else workload(f"lfk{spec_or_name}")
-    )
+    spec = resolve_spec(spec_or_name)
     if n is not None:
         spec = sized_spec(spec, n)
     key = (_spec_key(spec), options, config)

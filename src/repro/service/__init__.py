@@ -6,9 +6,9 @@ analysis requests — MACS bounds, A/X measurements, lint, full
 per-kernel reports, sweep grids — canonicalizes them into the sweep
 engine's content-digest keys, executes them on a persistent
 :class:`~repro.sweep.pool.WorkerPool`, and serves concurrent duplicates
-from one computation (single-flight) backed by a bounded in-process
-L1 memo and, with ``--l2``, a shared on-disk L2 that a restarted
-replica comes back warm from.
+from one computation (single-flight: one task per content key in
+flight) backed by a bounded in-process L1 memo and, with ``--l2``, a
+shared on-disk L2 that a restarted replica comes back warm from.
 
 Public surface:
 
@@ -20,7 +20,6 @@ Public surface:
 * :mod:`~repro.service.client` — :class:`ServiceClient`,
   :func:`offline_response`;
 * :mod:`~repro.service.admission` — :class:`AdmissionController`;
-* :mod:`~repro.service.singleflight` — :class:`SingleFlight`;
 * :mod:`~repro.service.metrics` — :class:`ServiceMetrics`;
 * :mod:`~repro.service.jobs` — :func:`execute_request`, the picklable
   worker entry point.
@@ -45,7 +44,6 @@ _EXPORTS = {
     "CONTROL_KINDS": "protocol",
     "execute_request": "jobs",
     "AdmissionController": "admission",
-    "SingleFlight": "singleflight",
     "ServiceMetrics": "metrics",
     "AnalysisServer": "server",
     "ServiceConfig": "server",

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 
 from ..errors import ExperimentError
 
+#: A refusal's ``retry_after_s`` hint; a full queue scales it by the
+#: overload.
+RETRY_AFTER_S = 0.05
+
 
 @dataclass(frozen=True)
 class Rejection:
@@ -35,8 +39,7 @@ class AdmissionController:
     """Bounded admission for compute requests."""
 
     def __init__(self, queue_limit: int = 64,
-                 client_limit: int = 8,
-                 retry_after_s: float = 0.05):
+                 client_limit: int = 8):
         if queue_limit < 1:
             raise ExperimentError(
                 f"queue_limit must be >= 1, got {queue_limit}"
@@ -47,8 +50,6 @@ class AdmissionController:
             )
         self.queue_limit = queue_limit
         self.client_limit = client_limit
-        self.retry_after_s = retry_after_s
-        self.rejections = 0
         self._queued = 0
         self._per_client: Counter = Counter()
 
@@ -57,8 +58,10 @@ class AdmissionController:
         """Computations currently admitted (queued or running)."""
         return self._queued
 
-    def client_in_flight(self, client: str) -> int:
-        return self._per_client[client]
+    @property
+    def in_flight(self) -> int:
+        """Requests currently admitted (leaders and followers)."""
+        return self._per_client.total()
 
     def admit(self, client: str, leader: bool) -> Rejection | None:
         """Try to admit one request; returns a :class:`Rejection` or
@@ -68,22 +71,20 @@ class AdmissionController:
         followers and cache probes only count against their client.
         """
         if self._per_client[client] >= self.client_limit:
-            self.rejections += 1
             return Rejection(
                 reason=(
                     f"client in-flight limit ({self.client_limit}) "
                     "reached"
                 ),
-                retry_after_s=self.retry_after_s,
+                retry_after_s=RETRY_AFTER_S,
             )
         if leader and self._queued >= self.queue_limit:
-            self.rejections += 1
             # Back off harder the deeper the overload.
             overload = 1 + self._queued - self.queue_limit
             return Rejection(
                 reason=f"queue full ({self.queue_limit} computations "
                        "in flight)",
-                retry_after_s=self.retry_after_s * overload,
+                retry_after_s=RETRY_AFTER_S * overload,
             )
         self._per_client[client] += 1
         if leader:

@@ -68,14 +68,16 @@ class ServiceClient:
     def connect(self) -> "ServiceClient":
         family, address = parse_endpoint(self.endpoint)
         try:
-            if family == "unix":
-                sock = socket.socket(socket.AF_UNIX,
-                                     socket.SOCK_STREAM)
-            else:
-                sock = socket.socket(socket.AF_INET,
-                                     socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(address)
+            sock = socket.socket(
+                socket.AF_UNIX if family == "unix" else socket.AF_INET,
+                socket.SOCK_STREAM,
+            )
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(address)
+            except OSError:
+                sock.close()
+                raise
         except OSError as exc:
             raise ExperimentError(
                 f"cannot connect to {self.endpoint}: {exc}"

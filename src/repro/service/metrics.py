@@ -14,6 +14,9 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 
+#: Latencies kept per request kind (the most recent ones).
+RESERVOIR = 512
+
 
 def quantile(sorted_values: list[float], q: float) -> float:
     """Linear-interpolation quantile of an ascending list."""
@@ -40,47 +43,35 @@ class ServiceMetrics:
     server has no shard and no ``shards`` section in its snapshot.
     """
 
-    def __init__(self, reservoir: int = 512,
-                 shard: str | None = None):
+    def __init__(self, shard: str | None = None):
         self.started = time.monotonic()
         self.shard = shard
         self.counters: Counter = Counter()
-        #: (shard label, counter name) -> count
+        #: counter name -> count, under this replica's shard id
         self.shard_counters: Counter = Counter()
         self._latency_ms: dict[str, deque] = {}
-        self._reservoir = reservoir
 
     def count(self, name: str, value: int = 1) -> None:
         self.counters[name] += value
 
-    def count_shard(self, name: str, value: int = 1,
-                    shard: str | None = None) -> None:
-        """Record a labelled counter for one shard.
-
-        ``shard`` defaults to this process's own shard id; passing an
-        explicit label lets a client-side aggregator (the fleet
-        client's per-owner accounting) reuse the same structure.
-        """
-        label = shard if shard is not None else self.shard
-        if label is None:
+    def count_shard(self, name: str, value: int = 1) -> None:
+        """Record a counter under this replica's shard id."""
+        if self.shard is None:
             return  # not part of a fleet: no per-shard dimension
-        self.shard_counters[(label, name)] += value
+        self.shard_counters[name] += value
 
     def shard_summary(self) -> dict:
-        """shard label -> {counter: value}, deterministically sorted."""
-        summary: dict[str, dict[str, int]] = {}
-        for (label, name), value in sorted(
-                self.shard_counters.items()):
-            summary.setdefault(label, {})[name] = value
-        return summary
+        """shard id -> {counter: value}, the counters sorted; empty
+        until a counter is recorded."""
+        if not self.shard_counters:
+            return {}
+        return {self.shard: dict(sorted(self.shard_counters.items()))}
 
     def observe(self, kind: str, elapsed_ms: float) -> None:
         """Record one request's latency under its kind."""
         bucket = self._latency_ms.get(kind)
         if bucket is None:
-            bucket = self._latency_ms[kind] = deque(
-                maxlen=self._reservoir
-            )
+            bucket = self._latency_ms[kind] = deque(maxlen=RESERVOIR)
         bucket.append(elapsed_ms)
 
     @property
@@ -131,7 +122,7 @@ class ServiceMetrics:
             "cache": dict(cache_stats or {}),
             "latency_ms": self.latency_summary(),
         }
-        if self.shard is not None or self.shard_counters:
+        if self.shard is not None:
             body["shard"] = self.shard
             body["shards"] = self.shard_summary()
         return body

@@ -6,7 +6,7 @@ Architecture::
                         (one synchronous step    (body bytes; warm
                          per frame: control,      hits end here)
                          usage errors,         ──▶ admission control
-                         rejections, hits)     ──▶ single-flight table
+                         rejections, hits)     ──▶ flight table
                                   │            ──▶ WorkerPool (processes)
                                   │            ──▶ publish to L2
                                   ▼
@@ -29,8 +29,9 @@ Operational behavior:
   in-flight limits; refusals are typed ``rejected`` responses with
   ``retry_after_s`` (see :mod:`repro.service.admission`);
 * **single-flight** — concurrent identical requests (same content
-  digest) trigger exactly one worker job
-  (:mod:`repro.service.singleflight`);
+  digest) trigger exactly one worker job: the flight table maps each
+  key in flight to the task that runs its job, and every requester of
+  the key awaits that task under its own deadline;
 * **shared L2** — with ``l2_path`` a cold frame probes the fleet's
   L2 (:mod:`repro.fleet.store`) at dispatch, and a computed body is
   published there after its job.  A replica never waits on another:
@@ -96,7 +97,6 @@ from .protocol import (
     positive_real,
     splice_line,
 )
-from .singleflight import SingleFlight
 
 #: Bytes one socket read takes, the longest frame a connection
 #: accepts, and bytes a connection's read loop answers before it
@@ -171,7 +171,6 @@ class AnalysisServer:
             queue_limit=config.queue_limit,
             client_limit=config.client_limit,
         )
-        self.singleflight = SingleFlight()
         self.pool = WorkerPool(
             workers=config.workers,
             retry=RetryPolicy(retries=config.retries),
@@ -186,12 +185,12 @@ class AnalysisServer:
         self.draining = False
         self.endpoints: list[str] = []
         self._servers: list[asyncio.AbstractServer] = []
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: each open connection's writer -> the task reading it
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._conn_counter = 0
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._flights: set[asyncio.Task] = set()
+        #: content key -> the task computing it (:meth:`_compute_flight`)
+        self._flights: dict[str, asyncio.Task] = {}
         self._auto_id = 0
-        self._active = 0
         self._drained: asyncio.Event | None = None
 
     # -- lifecycle -----------------------------------------------------
@@ -228,8 +227,8 @@ class AnalysisServer:
         # Drained = draining requested, no request in flight, and every
         # client has disconnected — connected clients may still replay
         # cache hits (and collect refusals) until they hang up.
-        if self.draining and self._active == 0 \
-                and not self._writers and self._drained is not None:
+        if self.draining and not self.admission.in_flight \
+                and not self._connections and self._drained is not None:
             self._drained.set()
 
     async def wait_drained(self) -> None:
@@ -241,23 +240,23 @@ class AnalysisServer:
                 await server.wait_closed()
             except Exception:
                 pass
-        for writer in list(self._writers):
+        for writer in list(self._connections):
             try:
                 writer.close()
             except Exception:
                 pass
         # Let connection handlers observe EOF and exit before the loop
         # closes, so shutdown never cancels them mid-read.
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=2.0)
+        if self._connections:
+            await asyncio.wait(list(self._connections.values()),
+                               timeout=2.0)
         # Deadline-orphaned flights may still be computing into the
         # cache; give them a bounded grace, then kill any worker still
         # hung — waiting for a hung job would block for its runtime.
-        pending = [task for task in self._flights if not task.done()]
-        if pending:
-            await asyncio.wait(pending, timeout=5.0)
-        stragglers = any(not task.done() for task in self._flights)
-        self.pool.shutdown(kill=stragglers)
+        # A flight leaves the table when it ends.
+        if self._flights:
+            await asyncio.wait(list(self._flights.values()), timeout=5.0)
+        self.pool.shutdown(kill=bool(self._flights))
         self._job_threads.shutdown()
         if self.config.socket_path is not None:
             try:
@@ -289,10 +288,7 @@ class AnalysisServer:
         self._conn_counter += 1
         client_id = f"client-{self._conn_counter}"
         self.metrics.count("connections")
-        self._writers.add(writer)
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
+        self._connections[writer] = asyncio.current_task()
         replies: set[asyncio.Task] = set()
         unyielded = 0
         try:
@@ -337,9 +333,7 @@ class AnalysisServer:
         finally:
             if replies:
                 await asyncio.gather(*replies, return_exceptions=True)
-            self._writers.discard(writer)
-            if conn_task is not None:
-                self._conn_tasks.discard(conn_task)
+            del self._connections[writer]
             writer.close()
             self._maybe_set_drained()
 
@@ -400,13 +394,13 @@ class AnalysisServer:
                 "uptime_s": round(self.metrics.uptime_s, 3),
                 "workers": self.config.workers,
                 "queue_depth": self.admission.queue_depth,
-                "in_flight": self._active,
+                "in_flight": self.admission.in_flight,
                 "cache_entries": len(self.cache),
             }
         elif kind == "metrics":
             body = self.metrics.snapshot(
                 queue_depth=self.admission.queue_depth,
-                in_flight=self._active,
+                in_flight=self.admission.in_flight,
                 cache_stats=self.cache.stats(),
                 workers=self.config.workers,
                 worker_restarts=self.pool.restarts,
@@ -456,7 +450,8 @@ class AnalysisServer:
                 status="rejected", key=key,
             ))
 
-        leader = self.singleflight.leader(key)
+        flight = self._flights.get(key)
+        leader = flight is None
         rejection = self.admission.admit(client_id, leader)
         if rejection is not None:
             self.metrics.count("rejections")
@@ -466,13 +461,12 @@ class AnalysisServer:
                 retry_after_s=rejection.retry_after_s, key=key,
             ))
 
-        self._active += 1
         if leader:
-            flight = self.singleflight.begin(key)
-            self._track(self._compute_flight(request, key))
+            flight = self._flights[key] = asyncio.create_task(
+                self._compute_flight(request, key)
+            )
             origin = "computed"
         else:
-            flight = self.singleflight.join(key)
             self.metrics.count("coalesced")
             self.metrics.count_shard("coalesced")
             origin = "coalesced"
@@ -499,7 +493,7 @@ class AnalysisServer:
         anyway."""
         writer.write(await reply)
 
-    async def _flight_line(self, flight: asyncio.Future,
+    async def _flight_line(self, flight: asyncio.Task,
                            request: Request, request_id: str | int,
                            deadline_s: float | None, origin: str,
                            t0: float, client_id: str,
@@ -521,18 +515,7 @@ class AnalysisServer:
                 "the computation continues and will be cached",
                 key=request.key,
             ))
-        except Exception as exc:
-            # ExperimentError: pool retries exhausted.  Anything else
-            # is an unexpected worker exception (e.g. an injected
-            # deterministic raise) — also infrastructure, and never
-            # silently dropped.
-            self.metrics.count("errors")
-            return encode_line(error_response(
-                request_id, request.kind, "infrastructure", str(exc),
-                key=request.key,
-            ))
         finally:
-            self._active -= 1
             self.admission.release(client_id, leader)
             self._maybe_set_drained()
         if isinstance(result, bytes):
@@ -544,31 +527,33 @@ class AnalysisServer:
             "error": dict(result["error"]),
         })
 
-    def _track(self, coro) -> None:
-        """Run ``coro`` as a flight that graceful drain waits for."""
-        task = asyncio.create_task(coro)
-        self._flights.add(task)
-        task.add_done_callback(self._flights.discard)
-
     async def _compute_flight(self, request: Request,
-                              key: str) -> None:
-        """Leader-side computation: one pool job per content key.
+                              key: str) -> bytes | dict:
+        """A flight: the one pool job for a content key.  Returns the
+        body's canonical bytes, or the job's error payload.  It never
+        raises, since every requester may have left at its deadline
+        and nothing would retrieve the exception.
 
-        The flight resolves to the body's canonical bytes, or to the
-        job's error payload."""
+        The key leaves the flight table before any waiter resumes, so
+        a request after a failed flight starts a new one."""
         try:
             payload = await asyncio.get_running_loop().run_in_executor(
                 self._job_threads, self._run_job, request, key
             )
-        except BaseException as exc:
-            self.singleflight.finish(key, error=exc)
-            return
+        except Exception as exc:
+            # ExperimentError: pool retries exhausted.  Anything else
+            # is an unexpected worker exception (e.g. an injected
+            # deterministic raise) — also infrastructure, and never
+            # silently dropped.
+            return error_response("", request.kind, "infrastructure",
+                                  str(exc), key=key)
+        finally:
+            del self._flights[key]
         if payload["status"] != "ok":
-            self.singleflight.finish(key, result=payload)
-            return
+            return payload
         body = encode_body(payload["body"])
         self.cache.put(key, body)
-        self.singleflight.finish(key, result=body)
+        return body
 
     def _run_job(self, request: Request, key: str) -> dict:
         """One pool job, on a request thread.  A body computed here
@@ -597,30 +582,24 @@ class AnalysisServer:
 # ----------------------------------------------------------------------
 
 
-async def _amain(config: ServiceConfig, *,
-                 ready=None, install_signals: bool = True,
-                 announce=None) -> None:
+async def _amain(config: ServiceConfig, ready) -> None:
+    """Serve until drained; ``ready(server)`` runs once it listens."""
     server = AnalysisServer(config)
     await server.start()
-    if install_signals:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, server.request_drain)
-            except (NotImplementedError, RuntimeError, ValueError):
-                break  # non-main thread / unsupported platform
-    if announce is not None:
-        announce(server)
-    if ready is not None:
-        ready(server)
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, server.request_drain)
+        except (NotImplementedError, RuntimeError, ValueError):
+            break  # not the main thread / unsupported platform
+    ready(server)
     await server.wait_drained()
 
 
-def serve(config: ServiceConfig, announce=None) -> int:
-    """Run the server until SIGTERM/SIGINT drains it; returns 0."""
-    asyncio.run(
-        _amain(config, announce=announce, install_signals=True)
-    )
+def serve(config: ServiceConfig, ready=lambda server: None) -> int:
+    """Run the server until SIGTERM/SIGINT drains it; returns 0.
+    ``ready(server)`` runs once it listens."""
+    asyncio.run(_amain(config, ready))
     return 0
 
 
@@ -644,10 +623,7 @@ class ServerThread:
             self._ready.set()
 
         try:
-            asyncio.run(
-                _amain(self.config, ready=ready,
-                       install_signals=False)
-            )
+            asyncio.run(_amain(self.config, ready))
         except BaseException as exc:  # surfaced by start()/stop()
             self._error = exc
             self._ready.set()

@@ -204,6 +204,18 @@ def _spec_key(spec: KernelSpec) -> tuple:
     )
 
 
+def resolve_spec(spec_or_name: KernelSpec | str | int) -> KernelSpec:
+    """A spec as given, any workload by name, or a case-study kernel
+    by its number."""
+    if isinstance(spec_or_name, KernelSpec):
+        return spec_or_name
+    if isinstance(spec_or_name, int):
+        return kernel(spec_or_name)
+    from . import workload
+
+    return workload(spec_or_name)
+
+
 def run_kernel(
     spec_or_name: KernelSpec | str | int,
     options: CompilerOptions = DEFAULT_OPTIONS,
@@ -223,11 +235,7 @@ def run_kernel(
     cache too: faults injected into one run must not be memoized and
     served back as a "clean" result later.
     """
-    spec = (
-        spec_or_name
-        if isinstance(spec_or_name, KernelSpec)
-        else kernel(spec_or_name)
-    )
+    spec = resolve_spec(spec_or_name)
     key = None
     if compiled is None:
         if _faults.active_plan() is None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.machine import DEFAULT_CONFIG, Simulator
 from repro.model import predict_kernel, statictier
 from repro.service.jobs import execute_request
@@ -41,6 +42,13 @@ class TestMemoization:
         by_number = predict_kernel(1)
         by_name = predict_kernel("lfk1")
         assert by_number is by_name
+
+    def test_a_number_is_a_case_study_kernel(self):
+        """As for ``run_kernel`` and ``analyze_kernel``: lfk5 is a
+        workload but not a case-study kernel, so 5 names nothing."""
+        with pytest.raises(WorkloadError):
+            predict_kernel(5)
+        assert predict_kernel("lfk5").run.spec.name == "lfk5"
 
     def test_advise_and_run_share_one_simulation(self, monkeypatch):
         runs = []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.service.admission import AdmissionController
+from repro.service.admission import RETRY_AFTER_S, AdmissionController
 
 
 class TestAdmission:
@@ -14,7 +14,7 @@ class TestAdmission:
         rejection = control.admit("c1", leader=True)
         assert rejection is not None
         assert "queue full" in rejection.reason
-        assert control.rejections == 1
+        assert control.in_flight == 2  # a refusal is not admitted
 
     def test_followers_do_not_consume_queue(self):
         control = AdmissionController(queue_limit=1, client_limit=10)
@@ -40,16 +40,14 @@ class TestAdmission:
         assert control.admit("c1", leader=True) is not None
         control.release("c1", leader=True)
         assert control.queue_depth == 0
-        assert control.client_in_flight("c1") == 0
+        assert control.in_flight == 0
         assert control.admit("c1", leader=True) is None
 
     def test_retry_after_scales_with_overload(self):
-        control = AdmissionController(
-            queue_limit=1, client_limit=10, retry_after_s=0.1
-        )
+        control = AdmissionController(queue_limit=1, client_limit=10)
         control.admit("c1", leader=True)
         first = control.admit("c2", leader=True)
-        assert first.retry_after_s == pytest.approx(0.1)
+        assert first.retry_after_s == pytest.approx(RETRY_AFTER_S)
 
     def test_bad_limits_rejected(self):
         with pytest.raises(ExperimentError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service.metrics import ServiceMetrics, quantile
+from repro.service.metrics import RESERVOIR, ServiceMetrics, quantile
 
 
 class TestQuantile:
@@ -36,10 +36,12 @@ class TestServiceMetrics:
         assert summary["sweep"]["p95_ms"] == pytest.approx(50.0)
 
     def test_reservoir_is_bounded(self):
-        metrics = ServiceMetrics(reservoir=16)
-        for i in range(100):
+        metrics = ServiceMetrics()
+        for i in range(RESERVOIR + 100):
             metrics.observe("bound", float(i))
-        assert metrics.latency_summary()["bound"]["count"] == 16
+        summary = metrics.latency_summary()["bound"]
+        assert summary["count"] == RESERVOIR
+        assert summary["max_ms"] == RESERVOIR + 99  # the most recent
 
     def test_snapshot_shape(self):
         metrics = ServiceMetrics()
@@ -79,24 +81,22 @@ class TestShardCounters:
         metrics = ServiceMetrics(shard="replica-1")
         metrics.count_shard("l1_hits", 3)
         metrics.count_shard("l2_hits")
-        metrics.count_shard("computed", 2, shard="replica-9")
         snapshot = metrics.snapshot(
             queue_depth=0, in_flight=0, cache_stats={},
             workers=1, worker_restarts=0, draining=False,
         )
         assert snapshot["shard"] == "replica-1"
-        assert snapshot["shards"]["replica-1"] == {
-            "l1_hits": 3, "l2_hits": 1
+        assert snapshot["shards"] == {
+            "replica-1": {"l1_hits": 3, "l2_hits": 1}
         }
-        # An explicit shard label wins over the default.
-        assert snapshot["shards"]["replica-9"] == {"computed": 2}
 
     def test_shard_summary_is_sorted_and_stable(self):
         metrics = ServiceMetrics(shard="b")
-        metrics.count_shard("x", shard="b")
-        metrics.count_shard("x", shard="a")
+        metrics.count_shard("y")
+        metrics.count_shard("x")
         summary = metrics.shard_summary()
-        assert list(summary) == ["a", "b"]
+        assert list(summary) == ["b"]
+        assert list(summary["b"]) == ["x", "y"]
         assert summary == metrics.shard_summary()
 
     def test_labelled_shard_snapshot_even_without_counts(self):

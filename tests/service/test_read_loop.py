@@ -90,7 +90,7 @@ def _frame(request_id, kind, params, **extra) -> dict:
 
 
 def _shard_counter(server, name: str) -> int:
-    return server.server.metrics.shard_counters[("s0", name)]
+    return server.server.metrics.shard_counters[name]
 
 
 class TestRequestIds:

@@ -5,6 +5,8 @@ behaviors that need special limits (admission, deadlines, drain) spin
 up their own short-lived instances.
 """
 
+import gc
+import logging
 import os
 import signal
 import socket
@@ -13,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,16 @@ class TestEndpoints:
             ("tcp", ("127.0.0.1", 80))
         with pytest.raises(ExperimentError):
             parse_endpoint("nonsense")
+
+    def test_failed_connect_closes_its_socket(self, tmp_path):
+        client = ServiceClient(f"unix:{tmp_path / 'absent.sock'}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ExperimentError, match="cannot connect"):
+                client.connect()
+            gc.collect()  # the traceback's frames hold the socket
+        assert [w for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_tcp_endpoint_round_trips(self):
         thread = start_in_thread(
@@ -222,6 +235,35 @@ class TestCachingAndSingleFlight:
             assert served.render() == offline.render()
 
 
+class TestFlights:
+    """One flight per key: its failure reaches every requester that
+    waits on it, and the next request of the key starts a new one."""
+
+    def test_a_failure_reaches_every_requester_then_frees_the_key(self):
+        thread = start_in_thread(
+            ServiceConfig(host="127.0.0.1", workers=1)
+        )
+        pool = thread.server.pool
+        poisoned = {"kernel": "lfk2",
+                    "_inject": {"kind": "raise", "attempts": 10}}
+        try:
+            with ServiceClient(thread.endpoints[0]) as active:
+                replies = active.request_many([
+                    ("bound", poisoned),
+                    ("bound", {"kernel": "lfk2"}),
+                    ("bound", {"kernel": "lfk2"}),
+                ])
+                assert [r.status for r in replies] == ["error"] * 3
+                assert [r.error["code"] for r in replies] == \
+                    ["infrastructure"] * 3
+                assert pool.jobs_submitted == 1
+                again = active.request("bound", {"kernel": "lfk2"})
+                assert again.ok and again.origin == "computed"
+                assert pool.jobs_submitted == 2
+        finally:
+            thread.stop()
+
+
 class TestRestartWarmth:
     def test_restarted_replica_is_warm_from_its_l2(self, tmp_path):
         """The L2 is the on-disk tier: a replica restarted over the
@@ -272,6 +314,7 @@ class TestAdmissionOverWire:
                 )
                 assert rejected.error["retry_after_s"] > 0
                 assert rejected.exit_code == 6
+                assert active.metrics()["rejections"] == 1
         finally:
             thread.stop()
 
@@ -292,6 +335,37 @@ class TestAdmissionOverWire:
                     r for r in responses if r.status == "rejected"
                 )
                 assert "client in-flight" in rejected.error["message"]
+                assert active.metrics()["rejections"] == 1
+        finally:
+            thread.stop()
+
+    def test_in_flight_counts_a_request_until_it_replies(self):
+        thread = start_in_thread(
+            ServiceConfig(host="127.0.0.1", workers=1,
+                          job_timeout_s=1.0, retries=1)
+        )
+        hang = {"kind": "hang", "attempts": 1}
+        replies = []
+        try:
+            with ServiceClient(thread.endpoints[0],
+                               timeout=60.0) as active, \
+                    ServiceClient(thread.endpoints[0]) as probe:
+                sender = threading.Thread(target=lambda: replies.append(
+                    active.request("bound",
+                                   {"kernel": "lfk1", "_inject": hang})
+                ))
+                sender.start()
+                waited = time.monotonic() + 15.0
+                while (in_flight := probe.healthz()["in_flight"]) == 0:
+                    assert time.monotonic() < waited
+                    time.sleep(0.01)
+                assert in_flight == 1
+                assert probe.metrics()["in_flight"] == 1
+                sender.join(timeout=30.0)
+                assert not sender.is_alive()
+                assert replies[0].ok  # the retry after the hang
+                assert probe.healthz()["in_flight"] == 0
+                assert probe.metrics()["in_flight"] == 0
         finally:
             thread.stop()
 
@@ -355,6 +429,43 @@ class TestDeadlines:
                 assert response.error["code"] == "budget"
                 assert response.exit_code == 4
                 assert "deadline" in response.error["message"]
+                # The flight outlives its requester and lands in the
+                # cache: the same request without the fault hits it.
+                waited = time.monotonic() + 30.0
+                while active.healthz()["cache_entries"] == 0:
+                    assert time.monotonic() < waited
+                    time.sleep(0.05)
+                again = active.request("bound", {"kernel": "lfk1"})
+                assert again.ok and again.origin == "cache"
+                assert active.metrics()["computed"] == 1
+        finally:
+            thread.stop()
+
+    def test_a_flight_failing_after_its_requester_left_logs_nothing(
+            self, caplog):
+        """Every requester of a flight may leave at its deadline
+        before the flight fails.  Its exception is still retrieved, so
+        the loop's exception handler logs nothing."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        thread = start_in_thread(
+            ServiceConfig(host="127.0.0.1", workers=1, retries=3)
+        )
+        crash = {"kind": "exit", "attempts": 10}
+        try:
+            with ServiceClient(thread.endpoints[0],
+                               timeout=60.0) as active:
+                response = active.request(
+                    "bound", {"kernel": "lfk8", "_inject": crash},
+                    deadline_s=0.05,
+                )
+                assert response.error["code"] == "budget"
+                waited = time.monotonic() + 30.0
+                while thread.server._flights:  # until the flight fails
+                    assert time.monotonic() < waited
+                    time.sleep(0.01)
+                assert active.metrics()["worker_restarts"] == 4
+            assert [record.getMessage() for record in caplog.records
+                    if record.name == "asyncio"] == []
         finally:
             thread.stop()
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.sweep import reset_sweep_defaults
+from repro.workloads import workload_names
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -26,7 +27,8 @@ class TestCommands:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "table4" in out
-        assert "lfk1" in out
+        for name in workload_names():
+            assert f"  {name}: " in out
 
     def test_analyze(self, capsys):
         assert main(["analyze", "lfk1"]) == 0
@@ -163,6 +165,14 @@ class TestErrorPaths:
         assert completed.stderr == b""
 
 
+def _summary_row(summary: str, metric: str) -> str | None:
+    """The value in a sweep summary's ``metric`` row, if it has one."""
+    for line in summary.splitlines():
+        if line.strip().startswith(metric + "  "):
+            return line.split()[-1]
+    return None
+
+
 class TestSweepCommand:
     def test_sweep_small_grid(self, capsys, tmp_path):
         out = tmp_path / "results.jsonl"
@@ -203,6 +213,32 @@ class TestSweepCommand:
         assert events[0]["event"] == "sweep_start"
         assert events[-1]["event"] == "sweep_end"
         assert "wall time" in capsys.readouterr().err
+
+    def test_sweep_summary_survives_a_degraded_trace(self, capsys,
+                                                     tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [
+            {"site": "trace.write", "kind": "io-error", "after": 2,
+             "count": None},
+        ]}))
+        assert main(
+            ["--chaos", str(plan), "sweep", "lfk1", "lfk12",
+             "--variants", "default", "--trace", str(trace)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert _summary_row(err, "tasks ok") == "2"
+        assert _summary_row(err, "faults injected") == "1"
+
+    def test_sweep_summary_counts_only_this_sweep(self, capsys,
+                                                  tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["sweep", "lfk1", "lfk12", "--variants", "default",
+                "--trace", str(trace)]
+        for _ in range(2):  # the second sweep appends to the trace
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert _summary_row(err, "tasks ok") == "2"
 
     def test_sweep_custom_options(self, capsys):
         assert main(

@@ -40,6 +40,16 @@ def test_top_level_analyze_kernel():
     assert analysis.spec.number == 12
 
 
+def test_a_name_is_any_workload_and_a_number_a_case_study_kernel():
+    import repro
+    from repro.workloads import run_kernel
+
+    assert repro.analyze_kernel("daxpy", measure=False).spec.name == \
+        "daxpy"
+    assert run_kernel("heat1d").spec.name == "heat1d"
+    assert run_kernel(12).spec.name == "lfk12"
+
+
 def test_version_string():
     import repro
 
